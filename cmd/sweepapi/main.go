@@ -17,9 +17,8 @@
 //	    (cmd/traceeval -fig5, cmd/timing -fig7/-fig8 — identical plan
 //	    fingerprints), runs it through an embedded runner attached to
 //	    the result store, and streams the manifest-headed, plan-ordered
-//	    JSONL observation file — byte-identical to the CLI's
-//	    -json -parallel 1 output, whatever mix of cached and computed
-//	    cells produced it. Cells already in the store are served
+//	    JSONL observation file — byte-identical to the CLI's -json
+//	    output, whatever mix of cached and computed cells produced it. Cells already in the store are served
 //	    without computing; repeated queries cost zero simulations.
 //	    X-Cached-Cells / X-Computed-Cells report the split.
 //	    Concurrent identical queries (same plan fingerprint) are
@@ -292,11 +291,9 @@ func (s *server) figure(def destset.SweepDef, plan *destset.SweepPlan) (*figureR
 }
 
 // runFigure executes one figure sweep through an embedded runner
-// attached to the result store and renders the merged plan-ordered
-// JSONL body. The raw observation stream (whatever order the worker
-// pool emitted it in) is reordered through MergeObservations, so the
-// response bytes are deterministic at any -parallel and identical to a
-// local -json -parallel 1 run.
+// attached to the result store and renders the manifest-headed JSONL
+// body. Runners emit in plan order, so the body is deterministic at any
+// -parallel and identical to a local -json run.
 func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figureReply, error) {
 	cached := 0
 	for _, c := range plan.Cells() {
@@ -304,40 +301,16 @@ func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figu
 			cached++
 		}
 	}
-	var raw bytes.Buffer
-	sink := destset.NewJSONLObserver(&raw)
+	var body bytes.Buffer
+	sink := destset.NewJSONLObserver(&body)
 	if err := sink.WriteManifest(plan.Manifest(0, 1)); err != nil {
 		return nil, err
 	}
-	opts := []destset.RunnerOption{
-		destset.WithResultStore(s.rs),
-		destset.WithParallelism(s.parallel),
-	}
-	switch def.Kind {
-	case destset.PlanKindTrace:
-		r, err := def.Runner(append(opts, destset.WithObserver(sink.Observe))...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := r.Run(s.ctx); err != nil {
-			return nil, err
-		}
-	case destset.PlanKindTiming:
-		r, err := def.TimingRunner(append(opts, destset.WithTimingObserver(sink.ObserveTiming))...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := r.Run(s.ctx); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown sweep kind %q", def.Kind)
-	}
-	if err := sink.Flush(); err != nil {
+	err := def.RunJSONL(s.ctx, sink, destset.WithResultStore(s.rs), destset.WithParallelism(s.parallel))
+	if err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	if err := destset.MergeObservations(&body, bytes.NewReader(raw.Bytes())); err != nil {
+	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
 	return &figureReply{

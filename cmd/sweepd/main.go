@@ -5,7 +5,7 @@
 // observation records back; expired or failed leases are re-queued to
 // other workers. When every cell is complete the merged observation
 // stream — byte-identical to the same sweep run in one process with
-// -json -parallel 1 — is written to -o.
+// -json — is written to -o.
 //
 // Usage:
 //

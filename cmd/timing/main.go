@@ -17,12 +17,12 @@
 // (simple selects Figure 7, detailed Figure 8).
 //
 // -json switches the output from formatted tables to JSON Lines on
-// stdout, streamed through the observer sink as cells complete: one
+// stdout, streamed through the observer sink in plan order: one
 // TimingObservation per simulated (protocol, workload, seed) cell,
-// decodable with destset.ReadTimingObservations. When exactly one
-// figure is selected the stream opens with a shard-manifest record
-// naming the sweep plan. Ctrl-C cancels the sweep promptly; completed
-// cells are already on stdout.
+// decodable with destset.ReadTimingObservations, byte-identical at any
+// -parallel. When exactly one figure is selected the stream opens with
+// a shard-manifest record naming the sweep plan. Ctrl-C cancels the
+// sweep promptly; completed cells are already on stdout.
 //
 // -shard i/n runs only shard i of n of the figure's cell index space,
 // so independent processes can split one sweep: give each the same

@@ -13,7 +13,8 @@
 // public destset.Runner); -parallel caps the pool.
 //
 // -json emits per-cell sweep observations as JSON Lines on stdout
-// (decodable with destset.ReadObservations) instead of tables. With
+// (decodable with destset.ReadObservations) instead of tables, in plan
+// order and byte-identical at any -parallel. With
 // -fig5 alone the stream opens with a shard-manifest record naming the
 // sweep plan, which is what -shard builds on: -shard i/n runs only
 // shard i of n of the Figure 5 cell index space, so independent

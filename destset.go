@@ -30,8 +30,9 @@
 //     presets and protocol engines that sweep exactly like the paper's.
 //   - Runner: fans a []EngineSpec × []WorkloadSpec × seeds cross-product
 //     over a worker pool, streams per-interval Observations to
-//     observers, honors context cancellation, and returns deterministic
-//     results at any parallelism.
+//     observers in plan order, honors context cancellation, and returns
+//     deterministic results — and a byte-identical observation stream —
+//     at any parallelism.
 //   - EvaluatePolicy / Evaluate: one-call wrappers over the Runner for a
 //     single tradeoff point.
 //
@@ -41,7 +42,10 @@
 // []SimSpec × []WorkloadSpec × seeds over the worker pool with the same
 // determinism, cancellation and JSONL-observer affordances
 // (WithTimingObserver, EvaluateTiming). Timing cells replay the shared
-// dataset store zero-copy through random-access SimSources.
+// dataset store zero-copy through random-access SimSources. Both runners
+// are thin wrappers over one cell pipeline (cells.go): the same plan,
+// shard and cell selection, result store, dataset prewarm and
+// plan-ordered emission, differing only in how one cell computes.
 //
 // The quickest start is EvaluatePolicy, which generates a workload,
 // warms a predictor bank and reports the latency/bandwidth tradeoff

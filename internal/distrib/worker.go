@@ -877,27 +877,10 @@ func (w *worker) runLease(ctx context.Context, lease Lease) error {
 	return nil
 }
 
-// runCells executes the leased plan indices through the facade runner of
-// the sweep's kind, streaming observations into sink.
+// runCells executes the leased plan indices, streaming observations into
+// sink in plan order.
 func (w *worker) runCells(ctx context.Context, indices []int, sink *destset.JSONLObserver) error {
-	opts := []destset.RunnerOption{
-		destset.WithCells(indices),
-		destset.WithParallelism(w.cfg.Parallelism),
-	}
-	if w.info.Kind == destset.PlanKindTiming {
-		r, err := w.info.Def.TimingRunner(append(opts, destset.WithTimingObserver(sink.ObserveTiming))...)
-		if err != nil {
-			return err
-		}
-		_, err = r.Run(ctx)
-		return err
-	}
-	r, err := w.info.Def.Runner(append(opts, destset.WithObserver(sink.Observe))...)
-	if err != nil {
-		return err
-	}
-	_, err = r.Run(ctx)
-	return err
+	return w.info.Def.RunJSONL(ctx, sink, destset.WithCells(indices), destset.WithParallelism(w.cfg.Parallelism))
 }
 
 // postJSON posts one JSON request and decodes the JSON reply into out

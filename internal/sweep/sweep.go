@@ -1,18 +1,19 @@
 // Package sweep is the concurrency engine behind the public experiment
-// API: it fans a (engine × workload × seed) cross-product over a worker
-// pool, streams per-interval observations, honors context cancellation,
-// and returns results in a deterministic order regardless of goroutine
-// scheduling.
+// API. Execute runs any kind of sweep cell — a trace-driven engine
+// replay (RunCell) or an execution-driven timing simulation — over a
+// worker pool: it selects a shard or explicit subset of the plan,
+// serves cells a result store already holds, materializes shared stream
+// sources once, computes the rest, and hands every observation to the
+// observer in plan order. It honors context cancellation and returns
+// results in plan order regardless of goroutine scheduling.
 //
 // Determinism comes from the shape of a cell, not from locking: every
 // cell builds its own fresh engine and opens its own miss stream, both
 // of which are pure functions of the cell's coordinates, so cells never
 // share mutable state and their results are reproducible at any
 // parallelism. Streams may replay a shared immutable dataset (each cell
-// still gets its own cursor); workloads expose Prepare so such datasets
-// materialize across the worker pool before cells run. Results are
-// written to a slot indexed by the cell's position in the
-// cross-product, then compacted in order.
+// still gets its own cursor). Results are written to a slot indexed by
+// the cell's position in the plan, then compacted in order.
 package sweep
 
 import (
@@ -53,13 +54,6 @@ type Workload struct {
 	// Open returns a fresh stream positioned at the beginning. The same
 	// seed must yield the same stream contents.
 	Open func(seed uint64) (Stream, error)
-	// Prepare, when non-nil, materializes whatever Open(seed) will
-	// replay — typically a shared dataset — without returning a stream.
-	// Run calls it once per (workload, seed) pair across the worker pool
-	// before any cell starts, so expensive one-time generation runs at
-	// full parallelism instead of serializing the cells that race to
-	// open the same source first.
-	Prepare func(seed uint64) error
 	// Warm misses train caches and predictors without being measured.
 	Warm int
 	// Measure misses are accounted.
@@ -89,264 +83,150 @@ type Result struct {
 	Totals     protocol.Totals
 }
 
-// Config tunes a sweep run.
-type Config struct {
-	// Seeds are the per-cell workload seeds; default {1}.
-	Seeds []uint64
-	// Parallelism caps concurrently-running cells; default GOMAXPROCS.
-	Parallelism int
-	// Interval is the observation granularity in misses; 0 disables
-	// interval streaming (observers then see one observation per cell).
-	Interval int
-	// Observe, when non-nil, receives every observation. Calls are
-	// serialized; the observer need not be concurrency-safe.
-	Observe func(Observation)
-	// Shard and Shards restrict the run to shard Shard of Shards of the
-	// plan's cell index space (see ShardIndices). Shards <= 1 runs every
-	// cell.
+// Job is one sweep for Execute: a plan of Total cells, the subset of it
+// to run, and how one cell is served from a result store, computed and
+// stored. R is a completed cell's result, O one of its observations.
+type Job[R, O any] struct {
+	// Total is the plan's cell count. Cells, Shard and Shards select the
+	// subset that runs (see SubsetIndices).
+	Total         int
+	Cells         []int
 	Shard, Shards int
-	// Cells, when non-nil, restricts the run to an explicit list of plan
-	// indices instead (see SubsetIndices) — the leased-range entry point
-	// distributed workers use. Mutually exclusive with Shards > 1.
-	Cells []int
-	// Cache, when non-nil, is consulted once per selected cell before
-	// the prewarm phase: cells it serves replay their stored
-	// observations through Observe and skip execution entirely — their
-	// stream sources are not even prewarmed — while the rest compute as
-	// usual and are offered back through Store. The facade's result
-	// store plugs in here.
-	Cache CellCache
+	// Parallelism caps concurrently-running cells; <=0 means GOMAXPROCS.
+	Parallelism int
+	// Lookup, when non-nil, serves cell i from a result store: its
+	// result and the observations it emitted when it computed. It is
+	// called once per selected cell, serially, before anything else
+	// runs, so served cells neither compute nor prepare their sources.
+	Lookup func(i int) (res R, obs []O, ok bool)
+	// Prepare, when non-nil, names cell i's shared stream source by key
+	// and returns the function that materializes it (nil: nothing to
+	// prepare). Execute calls it once per distinct key among the cells
+	// that compute, across the worker pool, before any cell runs, so
+	// expensive one-time generation fans out instead of serializing the
+	// first cells that race to open the same source.
+	Prepare func(i int) (key int, prepare func() error)
+	// Eval computes cell i, passing each observation it makes to emit
+	// (nil when neither Observe nor Store wants them). It must honor
+	// ctx: Execute cancels it on the first cell error.
+	Eval func(ctx context.Context, i int, emit func(O)) (R, error)
+	// Store, when non-nil, receives every computed cell with the
+	// observations it emitted. Calls arrive concurrently.
+	Store func(i int, res R, obs []O)
+	// Observe, when non-nil, receives every observation of every
+	// returned cell, served or computed. Calls are serialized and in
+	// plan order, so the observer need not be concurrency-safe and its
+	// output is the same at every parallelism.
+	Observe func(O)
 }
 
-// CellCache serves completed cells by plan index. Implementations map
-// indices to stable cell fingerprints (the facade's SweepPlan does) and
-// may decline any cell. Lookup calls happen serially before the sweep's
-// cells run; Store calls arrive concurrently from the worker pool and
-// must be safe for concurrent use.
-type CellCache interface {
-	// Lookup returns cell i's completed result and its observation
-	// stream, or ok=false to have the cell computed.
-	Lookup(i int) (res *Result, obs []Observation, ok bool)
-	// Store offers back a freshly-computed cell with the observations
-	// it emitted.
-	Store(i int, res Result, obs []Observation)
-}
-
-func (c Config) seeds() []uint64 {
-	if len(c.Seeds) == 0 {
-		return []uint64{1}
-	}
-	return c.Seeds
-}
-
-func (c Config) parallelism() int {
-	if c.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Parallelism
-}
-
-// ctxCheckStride bounds how many misses a cell processes between
-// cancellation checks, so cancellation is prompt even on huge cells.
-const ctxCheckStride = 2048
-
-// cell is one coordinate of the cross-product.
-type cell struct {
-	engine   Engine
-	workload Workload
-	wi       int // workload index, for prewarm bookkeeping
-	seed     uint64
-}
-
-// Run executes the cross-product — or, when cfg selects a shard, that
-// shard's subset of it — and returns results ordered workload-major: for
-// each workload, for each engine, for each seed. A sharded run returns
-// its subset's results in the same global order, so MergeShards
-// reassembles the exact full-run slice. On cancellation it returns the
-// completed cells (still in order) together with the context's error;
-// cells in flight are abandoned promptly. Any cell construction or
-// stream error aborts the run.
-func Run(ctx context.Context, engines []Engine, workloads []Workload, cfg Config) ([]Result, error) {
+// Execute runs a job's selected cells over a worker pool and returns
+// their results in plan order. Dispatch is in plan order too; a cell
+// that finishes before an earlier one holds its observations until
+// every earlier cell has released its own, so Observe sees plan order
+// with no reordering window to size. On cancellation — from the
+// caller's ctx or a failing cell (fail-fast: in-flight cells see their
+// context end) — Execute still returns every completed cell, in order,
+// with the first real error (or the context's), and the observer has
+// seen exactly those cells' observations.
+func Execute[R, O any](ctx context.Context, job Job[R, O]) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(engines) == 0 || len(workloads) == 0 {
-		return nil, fmt.Errorf("sweep: need at least one engine and one workload")
-	}
-	seeds := cfg.seeds()
-	cells := make([]cell, 0, len(engines)*len(workloads)*len(seeds))
-	for wi, w := range workloads {
-		for _, e := range engines {
-			for _, s := range seeds {
-				cells = append(cells, cell{engine: e, workload: w, wi: wi, seed: s})
-			}
-		}
-	}
-	subset, err := SubsetIndices(len(cells), cfg.Cells, cfg.Shard, cfg.Shards)
+	subset, err := SubsetIndices(job.Total, job.Cells, job.Shard, job.Shards)
 	if err != nil {
 		return nil, err
 	}
-
-	// Cache phase: resolve every cell the cache can serve up front, so
-	// the prewarm below materializes only the stream sources that will
-	// actually be opened — a fully-warm rerun touches no dataset at all.
-	// The lookups run serially, which keeps the cache's hit/miss
-	// counters deterministic (one lookup per cell).
-	var hits []*cellHit
-	live := subset
-	if cfg.Cache != nil {
-		hits = make([]*cellHit, len(cells))
-		live = make([]int, 0, len(subset))
-		for _, i := range subset {
-			if res, obs, ok := cfg.Cache.Lookup(i); ok && res != nil {
-				hits[i] = &cellHit{res: res, obs: obs}
-			} else {
-				live = append(live, i)
+	slots := make([]slot[R, O], len(subset))
+	if job.Lookup != nil {
+		for k, i := range subset {
+			if res, obs, ok := job.Lookup(i); ok {
+				slots[k] = slot[R, O]{res: &res, obs: obs, hit: true}
 			}
 		}
 	}
-
-	// Prewarm phase: materialize every shared stream source this shard's
-	// cells will open — once per (workload, seed) — before any cell runs.
-	// Without it, the first cells of each workload would race to open the
-	// same source and all but one worker would idle behind the winner's
-	// generation. Restricting the jobs to the shard's subset keeps shard
-	// processes from generating datasets only other shards replay.
-	jobs := PrewarmJobsFor(live, func(i int) PrewarmJob {
-		return PrewarmJob{W: cells[i].wi, Seed: cells[i].seed}
-	})
-	err = Prewarm(ctx, cfg.parallelism(), jobs,
-		func(w int) func(uint64) error { return workloads[w].Prepare },
-		func(w int) string { return workloads[w].Name })
-	if err != nil {
+	if err := prepare(ctx, job, subset, slots); err != nil {
 		return nil, err
 	}
 
-	observe := cfg.Observe
-	if observe != nil {
-		var mu sync.Mutex
-		raw := observe
-		observe = func(o Observation) {
-			mu.Lock()
-			defer mu.Unlock()
-			raw(o)
-		}
-	}
-
-	return Collect(ctx, subset, cfg.parallelism(), func(ctx context.Context, i int) (*Result, error) {
-		if hits != nil && hits[i] != nil {
-			h := hits[i]
-			if observe != nil {
-				for _, o := range h.obs {
-					observe(o)
-				}
-			}
-			return h.res, nil
-		}
-		if cfg.Cache == nil {
-			return runCell(ctx, cells[i], cfg.Interval, observe)
-		}
-		// Capture the cell's observation stream regardless of whether the
-		// caller set an observer, so the stored record can replay it to a
-		// future run that does.
-		var obs []Observation
-		capture := func(o Observation) {
-			obs = append(obs, o)
-			if observe != nil {
-				observe(o)
-			}
-		}
-		res, err := runCell(ctx, cells[i], cfg.Interval, capture)
-		if err != nil || res == nil {
-			return res, err
-		}
-		cfg.Cache.Store(i, *res, obs)
-		return res, nil
-	})
-}
-
-// cellHit is one cache-served cell: the completed result and the
-// observation stream to replay in the cell's execution slot.
-type cellHit struct {
-	res *Result
-	obs []Observation
-}
-
-// PrewarmJob names one (workload index, seed) stream source to
-// materialize ahead of a sweep's cells.
-type PrewarmJob struct {
-	W    int
-	Seed uint64
-}
-
-// Prewarm materializes shared stream sources across the worker pool
-// before a sweep's cells run: for each job whose prepare(job.W) hook is
-// non-nil, it calls the hook with the job's seed. Both the trace-driven
-// Run above and the facade's timing runner front their cells with it, so
-// expensive one-time generation fans out instead of serializing the
-// first cells that race to open the same source.
-func Prewarm(ctx context.Context, parallelism int, jobs []PrewarmJob, prepare func(w int) func(seed uint64) error, name func(w int) string) error {
-	live := jobs[:0:0]
-	for _, j := range jobs {
-		if prepare(j.W) != nil {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return ForEach(ctx, len(live), parallelism, func(i int) error {
-		j := live[i]
-		if err := prepare(j.W)(j.Seed); err != nil {
-			return fmt.Errorf("sweep: workload %q: %w", name(j.W), err)
-		}
-		return nil
-	})
-}
-
-// Collect is the plan executor behind every runner: it runs fn for each
-// global cell index in cells — the full plan or any shard's subset —
-// across a worker pool of the given size (<=0 means GOMAXPROCS), writes
-// each result into the slot of the cell's position in cells, and returns
-// the completed results compacted in that order. The trace-driven sweep
-// above and the facade's timing runner both feed their cells through it.
-//
-// fn receives a derived context that Collect cancels on the first cell
-// error, so long-running in-flight cells that honor it abort promptly —
-// fail-fast, not just stop-feeding. fn may also return a nil result to
-// skip its slot (an abandoned cell). On cancellation — from the
-// caller's ctx or a failing cell — Collect still returns every
-// completed cell, in order, together with the first real error (or the
-// context's).
-func Collect[T any](ctx context.Context, cells []int, parallelism int, fn func(ctx context.Context, i int) (*T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	slots := make([]*T, len(cells))
-	var (
-		firstErr error
-		errOnce  sync.Once
-	)
-	_ = ForEach(ctx, len(cells), parallelism, func(k int) error {
-		res, err := fn(ctx, cells[k])
-		if err != nil {
-			// A cell failing only because the sweep is already cancelled
-			// is a victim, not the cause; keep the first real error.
-			if ctx.Err() == nil {
-				errOnce.Do(func() { firstErr = err })
+	observe := func(obs []O) {
+		if job.Observe != nil {
+			for _, o := range obs {
+				job.Observe(o)
 			}
+		}
+	}
+	var (
+		mu        sync.Mutex
+		firstErr  error
+		next      int  // the first slot whose observations are not yet released
+		releasing bool // a goroutine is running the observer
+	)
+	// finish records slot k's outcome and releases the finished slots
+	// from next on, in order, up to the first unfinished one. The
+	// observer runs outside mu so a slow sink never stalls the pool; the
+	// releasing flag keeps its calls serialized, and a slot that finishes
+	// mid-release is picked up by the releasing goroutine's next check.
+	finish := func(k int, res *R, obs []O) {
+		mu.Lock()
+		defer mu.Unlock()
+		slots[k].res, slots[k].obs, slots[k].done = res, obs, true
+		if releasing {
+			return
+		}
+		releasing = true
+		for next < len(slots) && slots[next].done {
+			obs := slots[next].obs
+			slots[next].obs = nil
+			next++
+			mu.Unlock()
+			observe(obs)
+			mu.Lock()
+		}
+		releasing = false
+	}
+	capture := job.Observe != nil || job.Store != nil
+	_ = ForEach(ctx, len(slots), job.Parallelism, func(k int) error {
+		if s := slots[k]; s.hit {
+			finish(k, s.res, s.obs)
+			return nil
+		}
+		var obs []O
+		var emit func(O)
+		if capture {
+			emit = func(o O) { obs = append(obs, o) }
+		}
+		res, err := job.Eval(ctx, subset[k], emit)
+		if err != nil {
+			mu.Lock()
+			// A cell failing only because the sweep is already cancelled
+			// is a victim, not the cause.
+			if firstErr == nil && ctx.Err() == nil {
+				firstErr = err
+			}
+			mu.Unlock()
 			cancel()
 			return nil
 		}
-		slots[k] = res
+		if job.Store != nil {
+			job.Store(subset[k], res, obs)
+		}
+		finish(k, &res, obs)
 		return nil
 	})
-	out := make([]T, 0, len(slots))
-	for _, r := range slots {
-		if r != nil {
-			out = append(out, *r)
+	// The pool has drained: release the finished cells stranded behind a
+	// cell that failed or never ran.
+	for ; next < len(slots); next++ {
+		if slots[next].done {
+			observe(slots[next].obs)
+		}
+	}
+	out := make([]R, 0, len(slots))
+	for _, s := range slots {
+		if s.done {
+			out = append(out, *s.res)
 		}
 	}
 	if firstErr != nil {
@@ -355,25 +235,69 @@ func Collect[T any](ctx context.Context, cells []int, parallelism int, fn func(c
 	return out, ctx.Err()
 }
 
-// runCell trains and measures one cell. It checks for cancellation every
+// slot is one selected cell's state in Execute: its result and the
+// observations it holds until its turn to release them.
+type slot[R, O any] struct {
+	res  *R
+	obs  []O
+	hit  bool // served by Lookup
+	done bool // completed; results and observations final
+}
+
+// prepare runs job.Prepare's materializers once per distinct source key
+// of the cells that compute.
+func prepare[R, O any](ctx context.Context, job Job[R, O], subset []int, slots []slot[R, O]) error {
+	if job.Prepare == nil {
+		return nil
+	}
+	var preps []func() error
+	seen := make(map[int]bool)
+	for k, i := range subset {
+		if slots[k].hit {
+			continue
+		}
+		key, prep := job.Prepare(i)
+		if prep != nil && !seen[key] {
+			seen[key] = true
+			preps = append(preps, prep)
+		}
+	}
+	return ForEach(ctx, len(preps), job.Parallelism, func(j int) error { return preps[j]() })
+}
+
+// ctxCheckStride bounds how many misses a cell processes between
+// cancellation checks, so cancellation is prompt even on huge cells.
+const ctxCheckStride = 2048
+
+// Cell is one trace-driven sweep cell: an engine trained and measured on
+// a workload's miss stream at one seed.
+type Cell struct {
+	Engine   Engine
+	Workload Workload
+	Seed     uint64
+}
+
+// RunCell trains and measures one cell, passing each interval's
+// observation to observe (which may be nil); interval <= 0 makes one
+// observation of the whole measurement. It checks for cancellation every
 // ctxCheckStride misses and abandons the cell promptly when the context
 // ends.
-func runCell(ctx context.Context, c cell, interval int, observe func(Observation)) (*Result, error) {
-	if c.workload.Open == nil {
-		return nil, fmt.Errorf("sweep: workload %q has no stream source", c.workload.Name)
+func RunCell(ctx context.Context, c Cell, interval int, observe func(Observation)) (*Result, error) {
+	if c.Workload.Open == nil {
+		return nil, fmt.Errorf("sweep: workload %q has no stream source", c.Workload.Name)
 	}
-	if c.engine.New == nil {
-		return nil, fmt.Errorf("sweep: engine %q has no constructor", c.engine.Label)
+	if c.Engine.New == nil {
+		return nil, fmt.Errorf("sweep: engine %q has no constructor", c.Engine.Label)
 	}
-	eng, err := c.engine.New(c.workload.Nodes)
+	eng, err := c.Engine.New(c.Workload.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: engine %q: %w", c.engine.Label, err)
+		return nil, fmt.Errorf("sweep: engine %q: %w", c.Engine.Label, err)
 	}
-	st, err := c.workload.Open(c.seed)
+	st, err := c.Workload.Open(c.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: workload %q: %w", c.workload.Name, err)
+		return nil, fmt.Errorf("sweep: workload %q: %w", c.Workload.Name, err)
 	}
-	for i := 0; i < c.workload.Warm; i++ {
+	for i := 0; i < c.Workload.Warm; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -385,9 +309,9 @@ func runCell(ctx context.Context, c cell, interval int, observe func(Observation
 	emit := func() {
 		if observe != nil {
 			observe(Observation{
-				Engine:     c.engine.Label,
-				Workload:   c.workload.Name,
-				Seed:       c.seed,
+				Engine:     c.Engine.Label,
+				Workload:   c.Workload.Name,
+				Seed:       c.Seed,
 				Interval:   intervalIdx,
 				Totals:     cur,
 				Cumulative: cum,
@@ -396,7 +320,7 @@ func runCell(ctx context.Context, c cell, interval int, observe func(Observation
 		intervalIdx++
 		cur = protocol.Totals{}
 	}
-	for i := 0; i < c.workload.Measure; i++ {
+	for i := 0; i < c.Workload.Measure; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -412,10 +336,10 @@ func runCell(ctx context.Context, c cell, interval int, observe func(Observation
 		emit()
 	}
 	return &Result{
-		Engine:     c.engine.Label,
+		Engine:     c.Engine.Label,
 		EngineName: eng.Name(),
-		Workload:   c.workload.Name,
-		Seed:       c.seed,
+		Workload:   c.Workload.Name,
+		Seed:       c.Seed,
 		Totals:     cum,
 	}, nil
 }

@@ -148,7 +148,7 @@ func TestEachObservationStopsOnCallbackError(t *testing.T) {
 
 // shardJSONL runs one shard of a sweep into a manifest-headed JSONL
 // buffer, the way cmd/traceeval -json -shard does.
-func shardJSONL(t *testing.T, engines []destset.EngineSpec, workloads []destset.WorkloadSpec, shard, shards int, opts ...destset.RunnerOption) *bytes.Buffer {
+func shardJSONL(t testing.TB, engines []destset.EngineSpec, workloads []destset.WorkloadSpec, shard, shards int, opts ...destset.RunnerOption) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := destset.NewJSONLObserver(&buf)

@@ -8,16 +8,13 @@ import (
 	"io"
 )
 
-// External (streaming) observation merge. MergeObservations materializes
-// every shard in memory before a byte is written — fine for figure-sized
-// sweeps, fatal for million-cell ones. MergeStreams is the external
-// counterpart: each input is a JSONL record stream already sorted by the
-// plan's cell order (the coordinator's spill files are written that way;
-// round-robin shard files satisfy it too), and the merge is a k-way heap
-// over the streams' current cells, so residency is O(streams), never
-// O(records). The output is byte-identical to MergeObservations over the
-// same records: one merged manifest followed by every record in plan
-// order, records of one cell keeping their input order.
+// Observation merge. Every writer — a local runner at any parallelism,
+// a shard process, a distributed worker, the coordinator's spill files —
+// emits records in the plan's cell order, so merging is a k-way merge
+// over streams already sorted by cell: a heap over the streams' current
+// cells, with residency O(streams), never O(records). The output is one
+// merged manifest followed by every record in plan order, records of one
+// cell keeping their input order — byte-identical to the unsharded run.
 
 // mergeStream is one input's read cursor: the current record and the
 // plan index of the cell it belongs to.
@@ -33,7 +30,7 @@ type mergeStream struct {
 // advance reads the stream's next observation record, skipping blank
 // lines and manifest records, and attributes it to a plan cell. At end
 // of stream it sets done.
-func (s *mergeStream) advance(kind string, cells map[obsCellKey]int) error {
+func (s *mergeStream) advance(cellOf func([]byte) (int, error)) error {
 	for {
 		raw, err := s.br.ReadBytes('\n')
 		if len(raw) > 0 {
@@ -41,18 +38,9 @@ func (s *mergeStream) advance(kind string, cells map[obsCellKey]int) error {
 			raw = bytes.TrimSuffix(raw, []byte("\n"))
 			raw = bytes.TrimSuffix(raw, []byte("\r"))
 			if len(raw) > 0 && !isManifest(raw) {
-				var p obsProbe
-				if jerr := json.Unmarshal(raw, &p); jerr != nil {
-					return fmt.Errorf("destset: merge input %d line %d: %w", s.idx, s.line, jerr)
-				}
-				label := p.Engine
-				if kind == PlanKindTiming {
-					label = p.Sim
-				}
-				ci, ok := cells[obsCellKey{label: label, workload: p.Workload, seed: p.Seed}]
-				if !ok {
-					return fmt.Errorf("destset: merge input %d line %d names cell (%s, %s, seed %d) not in the plan",
-						s.idx, s.line, label, p.Workload, p.Seed)
+				ci, aerr := cellOf(raw)
+				if aerr != nil {
+					return fmt.Errorf("destset: merge input %d line %d: %w", s.idx, s.line, aerr)
 				}
 				if ci < s.cell {
 					return fmt.Errorf("destset: merge input %d line %d: cell %d after cell %d — stream is not in plan order",
@@ -114,38 +102,31 @@ func (h streamHeap) down(i int) {
 // MergeStreams merges plan-ordered JSONL observation record streams into
 // the full-run observation file on w: one merged manifest (shard 0 of 1)
 // followed by every input record, verbatim, in the plan's cell order —
-// byte-identical to MergeObservations over the same records, and to the
-// unsharded run at parallelism 1. Unlike MergeObservations it never
-// materializes the inputs: each stream is read once, front to back, and
-// only one record per stream is resident, so arbitrarily large sweeps
-// merge in O(streams) memory.
+// byte-identical to the unsharded run. It never materializes the
+// inputs: each stream is read once, front to back, and only one record
+// per stream is resident, so arbitrarily large sweeps merge in
+// O(streams) memory.
 //
 // Each input must carry records whose plan cell indices are
 // non-decreasing (records of one cell stay consecutive and in their
 // original order), one cell must not span two inputs, and the inputs
 // together must cover every plan cell — holes, duplicates, out-of-order
-// records and cells foreign to the plan are refused, exactly as
-// MergeObservations refuses them. Manifest records and blank lines in
-// the inputs are skipped.
+// records and cells foreign to the plan are refused. Manifest records
+// and blank lines in the inputs are skipped.
 func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("destset: no streams to merge")
 	}
 	planCells := p.Cells()
-	cells := make(map[obsCellKey]int, len(planCells))
-	for i, c := range planCells {
-		key := obsCellKey{label: c.Engine, workload: c.Workload, seed: c.Seed}
-		if _, dup := cells[key]; dup {
-			return fmt.Errorf("destset: plan has two cells labeled (%s, %s, seed %d); records cannot be attributed — give the specs distinct labels",
-				c.Engine, c.Workload, c.Seed)
-		}
-		cells[key] = i
+	cellOf, err := p.Attribution()
+	if err != nil {
+		return err
 	}
 
 	heap := make(streamHeap, 0, len(parts))
 	for i, r := range parts {
 		s := &mergeStream{idx: i, br: bufio.NewReaderSize(r, 64*1024)}
-		if err := s.advance(p.kind, cells); err != nil {
+		if err := s.advance(cellOf); err != nil {
 			return err
 		}
 		if !s.done {
@@ -192,7 +173,7 @@ func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
 		for !s.done && s.cell == ci {
 			bw.Write(s.raw)
 			bw.WriteByte('\n')
-			if err := s.advance(p.kind, cells); err != nil {
+			if err := s.advance(cellOf); err != nil {
 				return err
 			}
 		}

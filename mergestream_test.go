@@ -2,6 +2,7 @@ package destset_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -107,4 +108,90 @@ func TestMergeStreamsRefusals(t *testing.T) {
 	check("foreign record", "not in the plan",
 		lines[0]+"\n{\"Engine\":\"snooping\",\"Workload\":\"zzz\",\"Seed\":9}\n")
 	check("garbage line", "invalid character", "{not json}\n")
+}
+
+// FuzzMergeStreams feeds arbitrary bytes as one to three input streams
+// against a small plan. The merge must never panic, and any output it
+// accepts must be the plan's merged manifest followed by records that
+// cover every plan cell in plan order.
+func FuzzMergeStreams(f *testing.F) {
+	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}, {Protocol: destset.ProtocolDirectory}}
+	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 200, Measure: 200}}
+	plan, err := destset.NewRunner(engines, workloads).Plan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cellOf, err := plan.Attribution()
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := json.Marshal(plan.Manifest(0, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	// Seed corpus: the refusal cases of TestMergeStreamsRefusals and
+	// TestMergeObservationsRefusals, plus the accepted splits.
+	full := shardJSONL(f, engines, workloads, 0, 1).String()
+	s0 := shardJSONL(f, engines, workloads, 0, 2).String()
+	s1 := shardJSONL(f, engines, workloads, 1, 2).String()
+	other := shardJSONL(f, engines, []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}}, 1, 2).String()
+	finer := shardJSONL(f, engines, workloads, 1, 2, destset.WithInterval(50)).String()
+	lines := strings.Split(strings.TrimSpace(full), "\n")[1:]
+	head := strings.SplitN(s0, "\n", 2)[0] + "\n"
+	foreign := "{\"Engine\":\"snooping\",\"Workload\":\"zzz\",\"Seed\":1}\n"
+	for _, in := range [][3]string{
+		{full},
+		{s0, s1},
+		{s1, s0},
+		{lines[0] + "\n" + lines[1] + "\n" + lines[0] + "\n"},
+		{lines[0] + "\n" + lines[1] + "\n", lines[0] + "\n"},
+		{lines[1] + "\n"},
+		{lines[0] + "\n"},
+		{lines[0] + "\n{\"Engine\":\"snooping\",\"Workload\":\"zzz\",\"Seed\":9}\n"},
+		{"{not json}\n"},
+		{s0, other},
+		{s0, s0},
+		{foreign},
+		{head + foreign, s1},
+		{head, s1},
+		{s0, finer},
+		{s0, s1, "\n\r\n"},
+	} {
+		n := 0
+		for n < 3 && (n == 0 || in[n] != "") {
+			n++
+		}
+		f.Add([]byte(in[0]), []byte(in[1]), []byte(in[2]), uint8(n-1))
+	}
+
+	f.Fuzz(func(t *testing.T, a, b, c []byte, n uint8) {
+		streams := [][]byte{a, b, c}[:1+int(n)%3]
+		readers := make([]io.Reader, len(streams))
+		for i, s := range streams {
+			readers[i] = bytes.NewReader(s)
+		}
+		var out bytes.Buffer
+		if plan.MergeStreams(&out, readers...) != nil {
+			return
+		}
+		got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if got[0] != string(manifest) {
+			t.Fatalf("accepted output starts with %q, want the merged manifest", got[0])
+		}
+		next := 0 // the lowest cell the next record may name
+		for _, line := range got[1:] {
+			ci, err := cellOf([]byte(line))
+			if err != nil {
+				t.Fatalf("accepted output carries unattributable record %q: %v", line, err)
+			}
+			if ci < next-1 || ci > next {
+				t.Fatalf("accepted output names cell %d after cell %d: not plan order", ci, next-1)
+			}
+			next = ci + 1
+		}
+		if next != plan.Len() {
+			t.Fatalf("accepted output covers cells up to %d of %d", next, plan.Len())
+		}
+	})
 }

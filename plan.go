@@ -1,6 +1,7 @@
 package destset
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -76,6 +77,48 @@ func (p *SweepPlan) Manifest(shard, shards int) ShardManifest {
 		Shards:  shards,
 		Cells:   p.Cells(),
 	}
+}
+
+// Attribution returns the function that attributes one JSONL
+// observation record to the plan index of the cell it belongs to — the
+// one decoder behind MergeStreams, MergeObservations and the distributed
+// coordinator's upload check. Records name their cell by (label,
+// workload, seed): trace records by Engine, timing records by Sim. A
+// plan whose cells are not uniquely labeled cannot attribute records and
+// is refused up front.
+func (p *SweepPlan) Attribution() (func(record []byte) (int, error), error) {
+	type cellKey struct {
+		label, workload string
+		seed            uint64
+	}
+	index := make(map[cellKey]int, p.Len())
+	for i, c := range p.Cells() {
+		key := cellKey{c.Engine, c.Workload, c.Seed}
+		if _, dup := index[key]; dup {
+			return nil, fmt.Errorf("destset: plan has two cells labeled (%s, %s, seed %d); records cannot be attributed — give the specs distinct labels",
+				c.Engine, c.Workload, c.Seed)
+		}
+		index[key] = i
+	}
+	timing := p.kind == PlanKindTiming
+	return func(record []byte) (int, error) {
+		var probe struct {
+			Engine, Sim, Workload string
+			Seed                  uint64
+		}
+		if err := json.Unmarshal(record, &probe); err != nil {
+			return 0, err
+		}
+		key := cellKey{probe.Engine, probe.Workload, probe.Seed}
+		if timing {
+			key.label = probe.Sim
+		}
+		i, ok := index[key]
+		if !ok {
+			return 0, fmt.Errorf("record names cell (%s, %s, seed %d) not in the plan", key.label, key.workload, key.seed)
+		}
+		return i, nil
+	}, nil
 }
 
 // ParseShard parses the "i/n" shard selector the cmds accept as their
@@ -159,117 +202,4 @@ func fingerprintWorkloadSpec(s WorkloadSpec, defWarm, defMeasure int) string {
 		src = "name:" + s.Name
 	}
 	return fmt.Sprintf("workload|%s|nodes=%d|warm=%d|measure=%d", src, s.Nodes, warm, measure)
-}
-
-// buildPlan enumerates a runner's cells workload-major with stable
-// fingerprints. Trace plans fold the observation interval in: it does
-// not change cell results, but it changes the observation stream shard
-// files carry, and two streams of different granularity must not merge
-// as one sweep. The interval is meaningless to timing cells (one
-// observation each), so timing plans ignore it.
-func buildPlan(kind string, engineLabels, engineFPs []string, workloads []WorkloadSpec, cfg runnerConfig) *SweepPlan {
-	kindFP := kind
-	if kind == PlanKindTrace {
-		kindFP += "|interval=" + strconv.Itoa(cfg.interval)
-	}
-	cells := make([]PlanCell, 0, len(engineLabels)*len(workloads)*len(cfg.seeds))
-	for _, w := range workloads {
-		wfp := fingerprintWorkloadSpec(w, cfg.warm, cfg.measure)
-		for ei, efp := range engineFPs {
-			for _, seed := range cfg.seeds {
-				cells = append(cells, PlanCell{
-					Engine:   engineLabels[ei],
-					Workload: w.label(),
-					Seed:     seed,
-					Fingerprint: sweep.Fingerprint(
-						kindFP, efp, wfp, "seed="+strconv.FormatUint(seed, 10)),
-				})
-			}
-		}
-	}
-	return &SweepPlan{kind: kind, plan: sweep.NewPlan(cells)}
-}
-
-// Plan returns the runner's sweep plan: its cells in execution order
-// with stable fingerprints. The plan does not depend on WithShard — all
-// shards of a sweep share one plan.
-func (r *Runner) Plan() (*SweepPlan, error) {
-	if len(r.engines) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: Runner needs at least one engine spec and one workload spec")
-	}
-	labels := make([]string, len(r.engines))
-	fps := make([]string, len(r.engines))
-	for i, e := range r.engines {
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		labels[i] = e.DisplayLabel()
-		fps[i] = fingerprintEngineSpec(e)
-	}
-	return buildPlan(PlanKindTrace, labels, fps, r.workloads, r.cfg), nil
-}
-
-// Plan returns the timing runner's sweep plan: its cells in execution
-// order with stable fingerprints. The plan does not depend on WithShard
-// — all shards of a sweep share one plan.
-func (r *TimingRunner) Plan() (*SweepPlan, error) {
-	if len(r.sims) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: TimingRunner needs at least one sim spec and one workload spec")
-	}
-	labels := make([]string, len(r.sims))
-	fps := make([]string, len(r.sims))
-	for i, s := range r.sims {
-		if err := s.validate(); err != nil {
-			return nil, err
-		}
-		labels[i] = s.DisplayLabel()
-		fps[i] = fingerprintSimSpec(s)
-	}
-	return buildPlan(PlanKindTiming, labels, fps, r.workloads, r.cfg), nil
-}
-
-// Merge reassembles per-shard Run outputs into the exact full-run result
-// slice: shards[s] must be the output of an identically-configured
-// Runner run with WithShard(s, len(shards)). Every merged cell is
-// checked against the plan's coordinates, so mixing shards of different
-// sweeps — or supplying them out of order — fails instead of silently
-// mislabeling results.
-func (r *Runner) Merge(shards [][]RunResult) ([]RunResult, error) {
-	p, err := r.Plan()
-	if err != nil {
-		return nil, err
-	}
-	merged, err := sweep.MergeShards(p.Len(), shards)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range merged {
-		if c := p.Cell(i); res.Engine != c.Engine || res.Workload != c.Workload || res.Seed != c.Seed {
-			return nil, fmt.Errorf("destset: merged cell %d is (%s, %s, seed %d), plan expects (%s, %s, seed %d)",
-				i, res.Engine, res.Workload, res.Seed, c.Engine, c.Workload, c.Seed)
-		}
-	}
-	return merged, nil
-}
-
-// Merge reassembles per-shard Run outputs into the exact full-run result
-// slice: shards[s] must be the output of an identically-configured
-// TimingRunner run with WithShard(s, len(shards)). Every merged cell is
-// checked against the plan's coordinates.
-func (r *TimingRunner) Merge(shards [][]TimingResult) ([]TimingResult, error) {
-	p, err := r.Plan()
-	if err != nil {
-		return nil, err
-	}
-	merged, err := sweep.MergeShards(p.Len(), shards)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range merged {
-		if c := p.Cell(i); res.Sim != c.Engine || res.Workload != c.Workload || res.Seed != c.Seed {
-			return nil, fmt.Errorf("destset: merged cell %d is (%s, %s, seed %d), plan expects (%s, %s, seed %d)",
-				i, res.Sim, res.Workload, res.Seed, c.Engine, c.Workload, c.Seed)
-		}
-	}
-	return merged, nil
 }

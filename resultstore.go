@@ -5,21 +5,22 @@ import (
 	"fmt"
 
 	"destset/internal/results"
-	"destset/internal/sweep"
 )
 
 // Result store: content-addressed memoization of completed sweep cells.
 //
-// A cell's CellID fingerprint (PR 4) is a pure function of its spec,
-// workload, seed, scale and observation interval, so a completed cell's
-// result — the aggregate totals plus the exact observation stream it
-// emitted — can be stored under that fingerprint and replayed by any
-// later run that plans the same cell: same process, next process, or a
-// distributed sweep restarted from scratch. Because the stored stream
-// is the byte-for-byte JSON round-trip of what the cell emitted, and
-// merged output always flows through MergeObservations into plan order,
-// a warm rerun is byte-identical to a cold one while computing only the
-// cells whose fingerprints changed.
+// A cell's CellID fingerprint is a pure function of its spec, workload,
+// seed, scale and observation interval, so a completed cell's result —
+// the aggregate totals plus the exact observation stream it emitted —
+// can be stored under that fingerprint and replayed by any later run
+// that plans the same cell: same process, next process, or a
+// distributed sweep restarted from scratch. The stored stream is the
+// byte-for-byte JSON round-trip of what the cell emitted, and a served
+// cell releases it to the observer in the cell's plan-order turn, like a
+// computed one, so a warm rerun writes output byte-identical to a cold
+// one at any parallelism while computing only the cells whose
+// fingerprints changed. Each cell kind owns its record format (see
+// traceKind and timingKind).
 //
 // Cells of workloads with a custom Open stream source are never cached:
 // their fingerprints cover only the label and shape, not the stream
@@ -124,80 +125,24 @@ func (c *runnerConfig) resolveResultStore() *ResultStore {
 	return nil
 }
 
-// traceCellRecord is a trace cell's stored payload (JSON). Records
-// written by a runner are Final: they carry the built engine's Name()
-// and can reconstruct a full RunResult. Records spilled from uploaded
-// observation streams (the distributed coordinator's spill path) lack
-// the engine name — observation records never carry it — and serve
-// observation replay only; a runner treats them as misses and upgrades
-// them to Final when it computes the cell.
-type traceCellRecord struct {
-	Final        bool          `json:"final,omitempty"`
-	EngineName   string        `json:"engine_name,omitempty"`
-	Totals       Totals        `json:"totals"`
-	Observations []Observation `json:"observations,omitempty"`
-}
-
-// getTrace loads a trace cell record.
-func (rs *ResultStore) getTrace(fp string) (traceCellRecord, bool) {
-	kind, payload, ok := rs.s.Get(fp)
-	if !ok || kind != PlanKindTrace {
-		return traceCellRecord{}, false
-	}
-	var rec traceCellRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return traceCellRecord{}, false
-	}
-	return rec, true
-}
-
-// putTrace stores a trace cell record (best-effort on the disk tier).
-func (rs *ResultStore) putTrace(fp string, rec traceCellRecord) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	rs.s.Put(PlanKindTrace, fp, payload)
-}
-
-// getTiming loads a timing cell record. The payload is exactly the
-// cell's JSONL observation line, so one format serves the runner, the
-// coordinator and the observations endpoint alike.
-func (rs *ResultStore) getTiming(fp string) (TimingResult, bool) {
-	kind, payload, ok := rs.s.Get(fp)
-	if !ok || kind != PlanKindTiming {
-		return TimingResult{}, false
-	}
-	var tr TimingResult
-	if err := json.Unmarshal(payload, &tr); err != nil {
-		return TimingResult{}, false
-	}
-	return tr, true
-}
-
-// putTiming stores a timing cell record.
-func (rs *ResultStore) putTiming(fp string, tr TimingResult) {
-	payload, err := json.Marshal(tr)
-	if err != nil {
-		return
-	}
-	rs.s.Put(PlanKindTiming, fp, payload)
-}
-
 // HasCell reports whether the store can serve cell fp to a runner of
 // the given kind — the lookup the runners themselves perform, without
 // materializing the result. Trace records require Final (see
 // traceCellRecord); timing records are always complete.
 func (rs *ResultStore) HasCell(kind, fp string) bool {
+	got, payload, ok := rs.s.Get(fp)
+	if !ok || got != kind {
+		return false
+	}
 	switch kind {
 	case PlanKindTrace:
-		rec, ok := rs.getTrace(fp)
-		return ok && rec.Final
+		_, _, ok = traceKind{}.decode(payload, PlanCell{})
 	case PlanKindTiming:
-		_, ok := rs.getTiming(fp)
-		return ok
+		_, _, ok = timingKind{}.decode(payload, PlanCell{})
+	default:
+		ok = false
 	}
-	return false
+	return ok
 }
 
 // CellRecords returns cell fp's stored observation stream as JSONL
@@ -263,6 +208,7 @@ func (rs *ResultStore) StoreCellLines(kind, fp string, lines [][]byte) error {
 	if len(lines) == 0 {
 		return fmt.Errorf("destset: cell %s has no observation records", fp)
 	}
+	var rec any
 	switch kind {
 	case PlanKindTrace:
 		obs := make([]Observation, len(lines))
@@ -271,11 +217,7 @@ func (rs *ResultStore) StoreCellLines(kind, fp string, lines [][]byte) error {
 				return fmt.Errorf("destset: cell %s record %d: %w", fp, i, err)
 			}
 		}
-		rs.putTrace(fp, traceCellRecord{
-			Totals:       obs[len(obs)-1].Cumulative,
-			Observations: obs,
-		})
-		return nil
+		rec = traceCellRecord{Totals: obs[len(obs)-1].Cumulative, Observations: obs}
 	case PlanKindTiming:
 		if len(lines) != 1 {
 			return fmt.Errorf("destset: timing cell %s has %d observation records, want 1", fp, len(lines))
@@ -284,59 +226,14 @@ func (rs *ResultStore) StoreCellLines(kind, fp string, lines [][]byte) error {
 		if err := json.Unmarshal(lines[0], &tr); err != nil {
 			return fmt.Errorf("destset: cell %s: %w", fp, err)
 		}
-		rs.putTiming(fp, tr)
-		return nil
+		rec = tr
+	default:
+		return fmt.Errorf("destset: unknown plan kind %q", kind)
 	}
-	return fmt.Errorf("destset: unknown plan kind %q", kind)
-}
-
-// traceCellCache adapts a ResultStore to the sweep engine's CellCache
-// for one planned trace run. Cells of custom-Open workloads are
-// declined (their fingerprints do not cover the stream contents).
-type traceCellCache struct {
-	store *ResultStore
-	plan  *SweepPlan
-	// cacheable flags each workload index; stride is cells per workload
-	// (engines × seeds), matching the plan's workload-major order.
-	cacheable []bool
-	stride    int
-}
-
-func (c *traceCellCache) cellFP(i int) (string, bool) {
-	if !c.cacheable[i/c.stride] {
-		return "", false
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("destset: cell %s: %w", fp, err)
 	}
-	return c.plan.Cell(i).Fingerprint, true
-}
-
-func (c *traceCellCache) Lookup(i int) (*sweep.Result, []Observation, bool) {
-	fp, ok := c.cellFP(i)
-	if !ok {
-		return nil, nil, false
-	}
-	rec, ok := c.store.getTrace(fp)
-	if !ok || !rec.Final {
-		return nil, nil, false
-	}
-	cell := c.plan.Cell(i)
-	return &sweep.Result{
-		Engine:     cell.Engine,
-		EngineName: rec.EngineName,
-		Workload:   cell.Workload,
-		Seed:       cell.Seed,
-		Totals:     rec.Totals,
-	}, rec.Observations, true
-}
-
-func (c *traceCellCache) Store(i int, res sweep.Result, obs []Observation) {
-	fp, ok := c.cellFP(i)
-	if !ok {
-		return
-	}
-	c.store.putTrace(fp, traceCellRecord{
-		Final:        true,
-		EngineName:   res.EngineName,
-		Totals:       res.Totals,
-		Observations: obs,
-	})
+	rs.s.Put(kind, fp, payload)
+	return nil
 }

@@ -2,7 +2,9 @@ package destset
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"destset/internal/sweep"
 )
@@ -20,7 +22,8 @@ const (
 type Observation = sweep.Observation
 
 // Observer receives per-interval observations. The Runner serializes
-// calls, so observers need not be concurrency-safe.
+// calls, in plan order, so observers need not be concurrency-safe and
+// see the same stream at every parallelism.
 type Observer func(Observation)
 
 // RunResult is one completed sweep cell: an engine evaluated on a
@@ -190,80 +193,115 @@ func NewRunner(engines []EngineSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 // context.Background(). On cancellation Run returns promptly with the
 // completed cells (still in order) and the context's error.
 func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
-	if ctx == nil {
-		ctx = r.cfg.ctx
+	return run[RunResult, Observation](ctx, r.kind(), r.workloads, r.cfg, r.cfg.observer)
+}
+
+// Plan returns the runner's sweep plan: its cells in execution order
+// with stable fingerprints. The plan does not depend on WithShard — all
+// shards of a sweep share one plan.
+func (r *Runner) Plan() (*SweepPlan, error) { return planOf(r.kind(), r.workloads, r.cfg) }
+
+// Merge reassembles per-shard Run outputs into the exact full-run result
+// slice: shards[s] must be the output of an identically-configured
+// Runner run with WithShard(s, len(shards)). Every merged cell is
+// checked against the plan's coordinates, so mixing shards of different
+// sweeps — or supplying them out of order — fails instead of silently
+// mislabeling results.
+func (r *Runner) Merge(shards [][]RunResult) ([]RunResult, error) {
+	return mergeResults[RunResult, Observation](r.kind(), r.workloads, r.cfg, shards)
+}
+
+func (r *Runner) kind() traceKind { return traceKind{engines: r.engines, interval: r.cfg.interval} }
+
+// traceKind is the trace-driven cell kind: an engine spec trained and
+// measured on a workload's miss stream.
+type traceKind struct {
+	engines  []EngineSpec
+	interval int
+}
+
+func (k traceKind) kind() string { return PlanKindTrace }
+
+// tag folds the observation interval into trace fingerprints: it does
+// not change cell results, but it changes the observation stream shard
+// files carry, and two streams of different granularity must not merge
+// as one sweep.
+func (k traceKind) tag() string {
+	return PlanKindTrace + "|interval=" + strconv.Itoa(k.interval)
+}
+
+func (k traceKind) specs() int               { return len(k.engines) }
+func (k traceKind) label(s int) string       { return k.engines[s].DisplayLabel() }
+func (k traceKind) fingerprint(s int) string { return fingerprintEngineSpec(k.engines[s]) }
+func (k traceKind) validate(s int) error     { return k.engines[s].validate() }
+func (k traceKind) coords(res RunResult) (string, string, uint64) {
+	return res.Engine, res.Workload, res.Seed
+}
+
+func (k traceKind) runJSONL(ctx context.Context, workloads []WorkloadSpec, cfg runnerConfig, sink *JSONLObserver) error {
+	_, err := run[RunResult, Observation](ctx, k, workloads, cfg, sink.Observe)
+	return err
+}
+
+func (k traceKind) eval(ctx context.Context, s int, w cellWorkload, seed uint64, emit func(Observation)) (RunResult, error) {
+	res, err := sweep.RunCell(ctx, sweep.Cell{
+		Engine: k.engines[s].sweepEngine(),
+		Workload: sweep.Workload{
+			Name: w.name, Nodes: w.nodes, Open: w.stream, Warm: w.warm, Measure: w.measure,
+		},
+		Seed: seed,
+	}, k.interval, emit)
+	if err != nil {
+		return RunResult{}, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(r.engines) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: Runner needs at least one engine spec and one workload spec")
-	}
-	engines := make([]sweep.Engine, len(r.engines))
-	for i, e := range r.engines {
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		engines[i] = e.sweepEngine()
-	}
-	workloads := make([]sweep.Workload, len(r.workloads))
-	for i, w := range r.workloads {
-		sw, err := w.resolve(r.cfg.warm, r.cfg.measure)
-		if err != nil {
-			return nil, err
-		}
-		workloads[i] = sw
-	}
-	var observe func(Observation)
-	if r.cfg.observer != nil {
-		observe = r.cfg.observer
-	}
-	// Result store: completed cells are served from the store (their
-	// stored observation streams replay through the observer) and only
-	// misses execute — see resultstore.go.
-	var cache sweep.CellCache
-	if store := r.cfg.resolveResultStore(); store != nil {
-		plan, perr := r.Plan()
-		if perr != nil {
-			return nil, perr
-		}
-		cacheable := make([]bool, len(r.workloads))
-		for i, w := range r.workloads {
-			cacheable[i] = w.Open == nil
-		}
-		cache = &traceCellCache{
-			store:     store,
-			plan:      plan,
-			cacheable: cacheable,
-			stride:    len(r.engines) * len(r.cfg.seeds),
-		}
-	}
-	results, err := sweep.Run(ctx, engines, workloads, sweep.Config{
-		Seeds:       r.cfg.seeds,
-		Parallelism: r.cfg.parallelism,
-		Interval:    r.cfg.interval,
-		Observe:     observe,
-		Shard:       r.cfg.shard,
-		Shards:      r.cfg.shards,
-		Cells:       r.cfg.cells,
-		Cache:       cache,
+	return runResult(res.Engine, res.EngineName, res.Workload, res.Seed, res.Totals), nil
+}
+
+// traceCellRecord is a trace cell's stored payload (JSON). Records
+// written by a runner are Final: they carry the built engine's Name()
+// and can reconstruct a full RunResult. Records spilled from uploaded
+// observation streams (the distributed coordinator's spill path) lack
+// the engine name — observation records never carry it — and serve
+// observation replay only; a runner treats them as misses and upgrades
+// them to Final when it computes the cell.
+type traceCellRecord struct {
+	Final        bool          `json:"final,omitempty"`
+	EngineName   string        `json:"engine_name,omitempty"`
+	Totals       Totals        `json:"totals"`
+	Observations []Observation `json:"observations,omitempty"`
+}
+
+func (k traceKind) encode(res RunResult, obs []Observation) ([]byte, error) {
+	return json.Marshal(traceCellRecord{
+		Final:        true,
+		EngineName:   res.Tradeoff.Config,
+		Totals:       res.Totals,
+		Observations: obs,
 	})
-	out := make([]RunResult, len(results))
-	for i, res := range results {
-		out[i] = RunResult{
-			Engine:   res.Engine,
-			Workload: res.Workload,
-			Seed:     res.Seed,
-			Totals:   res.Totals,
-			Tradeoff: TradeoffResult{
-				Config:             res.EngineName,
-				RequestMsgsPerMiss: res.Totals.RequestMsgsPerMiss(),
-				IndirectionPercent: res.Totals.IndirectionPercent(),
-				BytesPerMiss:       res.Totals.BytesPerMiss(),
-			},
-		}
+}
+
+func (k traceKind) decode(payload []byte, c PlanCell) (RunResult, []Observation, bool) {
+	var rec traceCellRecord
+	if json.Unmarshal(payload, &rec) != nil || !rec.Final {
+		return RunResult{}, nil, false
 	}
-	return out, err
+	return runResult(c.Engine, rec.EngineName, c.Workload, c.Seed, rec.Totals), rec.Observations, true
+}
+
+// runResult assembles a cell's RunResult and its tradeoff point.
+func runResult(label, engineName, workload string, seed uint64, t Totals) RunResult {
+	return RunResult{
+		Engine:   label,
+		Workload: workload,
+		Seed:     seed,
+		Totals:   t,
+		Tradeoff: TradeoffResult{
+			Config:             engineName,
+			RequestMsgsPerMiss: t.RequestMsgsPerMiss(),
+			IndirectionPercent: t.IndirectionPercent(),
+			BytesPerMiss:       t.BytesPerMiss(),
+		},
+	}
 }
 
 // Evaluate runs a single (engine, workload) cell — the one-call version

@@ -44,9 +44,12 @@ func TestRunnerShardUnionEquivalence(t *testing.T) {
 		return append([]destset.RunnerOption{destset.WithSeeds(2, 7)}, extra...)
 	}
 
-	full, err := destset.NewRunner(engines, workloads, baseOpts(destset.WithParallelism(1))...).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var fullObs bytes.Buffer
+	fullSink := destset.NewJSONLObserver(&fullObs)
+	full, err := destset.NewRunner(engines, workloads,
+		baseOpts(destset.WithParallelism(1), destset.WithObserver(fullSink.Observe))...).Run(context.Background())
+	if err != nil || fullSink.Flush() != nil {
+		t.Fatal(err, fullSink.Err())
 	}
 	want := mustJSON(t, full)
 	if len(full) != len(engines)*len(workloads)*2 {
@@ -56,14 +59,21 @@ func TestRunnerShardUnionEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5} {
 		for _, par := range []int{1, 4} {
 			parts := make([][]destset.RunResult, shards)
+			var obs bytes.Buffer
+			sink := destset.NewJSONLObserver(&obs)
 			for s := 0; s < shards; s++ {
 				res, err := destset.NewRunner(engines, workloads,
-					baseOpts(destset.WithParallelism(par), destset.WithShard(s, shards))...,
+					baseOpts(destset.WithParallelism(par), destset.WithShard(s, shards), destset.WithObserver(sink.Observe))...,
 				).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 				parts[s] = res
+			}
+			// Observers see plan order: unsharded, the stream at any
+			// parallelism is byte-identical to parallelism 1's.
+			if sink.Flush(); shards == 1 && !bytes.Equal(obs.Bytes(), fullObs.Bytes()) {
+				t.Errorf("observer stream at parallelism %d differs from parallelism 1", par)
 			}
 			merged, err := destset.NewRunner(engines, workloads, baseOpts()...).Merge(parts)
 			if err != nil {
@@ -86,9 +96,12 @@ func TestTimingRunnerShardUnionEquivalence(t *testing.T) {
 		{Name: "barnes-hut", Warm: 1000, Measure: 1000},
 	}
 
-	full, err := destset.NewTimingRunner(sims, workloads, destset.WithParallelism(1)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var fullObs bytes.Buffer
+	fullSink := destset.NewJSONLObserver(&fullObs)
+	full, err := destset.NewTimingRunner(sims, workloads,
+		destset.WithParallelism(1), destset.WithTimingObserver(fullSink.ObserveTiming)).Run(context.Background())
+	if err != nil || fullSink.Flush() != nil {
+		t.Fatal(err, fullSink.Err())
 	}
 	want := mustJSON(t, full)
 	if len(full) != len(sims)*len(workloads) {
@@ -98,13 +111,20 @@ func TestTimingRunnerShardUnionEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		for _, par := range []int{1, 4} {
 			parts := make([][]destset.TimingResult, shards)
+			var obs bytes.Buffer
+			sink := destset.NewJSONLObserver(&obs)
 			for s := 0; s < shards; s++ {
-				res, err := destset.NewTimingRunner(sims, workloads,
-					destset.WithParallelism(par), destset.WithShard(s, shards)).Run(context.Background())
+				res, err := destset.NewTimingRunner(sims, workloads, destset.WithParallelism(par),
+					destset.WithShard(s, shards), destset.WithTimingObserver(sink.ObserveTiming)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 				parts[s] = res
+			}
+			// Observers see plan order: unsharded, the stream at any
+			// parallelism is byte-identical to parallelism 1's.
+			if sink.Flush(); shards == 1 && !bytes.Equal(obs.Bytes(), fullObs.Bytes()) {
+				t.Errorf("observer stream at parallelism %d differs from parallelism 1", par)
 			}
 			merged, err := destset.NewTimingRunner(sims, workloads).Merge(parts)
 			if err != nil {

@@ -3,7 +3,6 @@ package destset
 import (
 	"fmt"
 
-	"destset/internal/dataset"
 	"destset/internal/predictor"
 	"destset/internal/protocol"
 	"destset/internal/sweep"
@@ -229,92 +228,11 @@ func (w WorkloadSpec) label() string {
 	return "workload"
 }
 
-// resolve turns the spec into a sweep workload, applying the runner's
-// default scale. Preset names are validated here, before the sweep
-// starts.
-func (w WorkloadSpec) resolve(defaultWarm, defaultMeasure int) (sweep.Workload, error) {
-	// 0 inherits the runner default; negative means "explicitly none".
-	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
-	sw := sweep.Workload{Name: w.label(), Warm: warm, Measure: measure, Nodes: w.Nodes}
-	switch {
-	case w.Open != nil:
-		if sw.Nodes <= 0 {
-			return sweep.Workload{}, fmt.Errorf("destset: workload %q uses a custom stream source and must set Nodes", sw.Name)
-		}
-		sw.Open = w.Open
-	case w.Params != nil:
-		base := *w.Params
-		if sw.Nodes == 0 {
-			sw.Nodes = base.Nodes
-		}
-		params := func(seed uint64) (workload.Params, error) {
-			p := base
-			// Imported traces are fixed data: their identity is the
-			// input's content hash, so the cell seed must not perturb the
-			// fingerprint (every seed replays the same dataset).
-			if !p.Import.Enabled() {
-				p.Seed = seed
-			}
-			return p, nil
-		}
-		sw.Open, sw.Prepare = sharedDatasetSource(params, warm, measure)
-	case w.Name != "":
-		base, err := workload.Preset(w.Name, 0)
-		if err != nil {
-			return sweep.Workload{}, err
-		}
-		if sw.Nodes == 0 {
-			sw.Nodes = base.Nodes
-		}
-		name := w.Name
-		params := func(seed uint64) (workload.Params, error) {
-			return workload.Preset(name, seed)
-		}
-		sw.Open, sw.Prepare = sharedDatasetSource(params, warm, measure)
-	default:
-		return sweep.Workload{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
-	}
-	return sw, nil
-}
-
-// sharedDatasetSource builds the generate-once/replay-many stream source
-// for a resolvable workload: each (params, seed, scale) trace is
-// generated once in the process-wide dataset store and every sweep cell
-// replays it through a fresh zero-copy cursor. Prepare materializes the
-// dataset ahead of the cells so generation fans out across the worker
-// pool.
-func sharedDatasetSource(params func(seed uint64) (workload.Params, error), warm, measure int) (open func(uint64) (Stream, error), prepare func(uint64) error) {
-	open = func(seed uint64) (Stream, error) {
-		p, err := params(seed)
-		if err != nil {
-			return nil, err
-		}
-		return dataset.OpenShared(p, warm, measure)
-	}
-	prepare = func(seed uint64) error {
-		p, err := params(seed)
-		if err != nil {
-			return err
-		}
-		_, err = dataset.GetShared(p, warm, measure)
-		return err
-	}
-	return open, prepare
-}
-
 // NewWorkloadGenerator resolves a WorkloadSpec into a generator seeded
-// for one run — the same resolution the Runner performs per sweep cell.
+// for one run — the same parameters the runners replay per sweep cell.
 // It fails for specs with a custom Open source (call Open directly).
 func NewWorkloadGenerator(spec WorkloadSpec, seed uint64) (*Generator, error) {
-	if spec.Open != nil {
-		return nil, fmt.Errorf("destset: workload %q has a custom stream source; call spec.Open", spec.label())
-	}
-	if spec.Params != nil {
-		p := *spec.Params
-		p.Seed = seed
-		return workload.New(p)
-	}
-	p, err := workload.Preset(spec.Name, seed)
+	p, err := spec.params(seed)
 	if err != nil {
 		return nil, err
 	}

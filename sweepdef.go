@@ -1,6 +1,7 @@
 package destset
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,53 +92,57 @@ func NewTimingSweepDef(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerO
 // only registered protocols, policies and workloads — everything a
 // worker needs to verify before executing cells from it.
 func (d SweepDef) Validate() error {
+	_, err := d.kind()
+	return err
+}
+
+// kind validates the definition and returns its cell kind.
+func (d SweepDef) kind() (sweepKind, error) {
+	var k sweepKind
 	switch d.Kind {
 	case PlanKindTrace:
 		if len(d.Engines) == 0 {
-			return fmt.Errorf("destset: trace sweep def needs at least one engine spec")
+			return nil, fmt.Errorf("destset: trace sweep def needs at least one engine spec")
 		}
 		if len(d.Sims) != 0 {
-			return fmt.Errorf("destset: trace sweep def must not carry sim specs")
+			return nil, fmt.Errorf("destset: trace sweep def must not carry sim specs")
 		}
-		for _, e := range d.Engines {
-			if err := e.validate(); err != nil {
-				return err
-			}
-		}
+		k = traceKind{engines: d.Engines, interval: d.Interval}
 	case PlanKindTiming:
 		if len(d.Sims) == 0 {
-			return fmt.Errorf("destset: timing sweep def needs at least one sim spec")
+			return nil, fmt.Errorf("destset: timing sweep def needs at least one sim spec")
 		}
 		if len(d.Engines) != 0 {
-			return fmt.Errorf("destset: timing sweep def must not carry engine specs")
+			return nil, fmt.Errorf("destset: timing sweep def must not carry engine specs")
 		}
-		for _, s := range d.Sims {
-			if err := s.validate(); err != nil {
-				return err
-			}
-		}
+		k = timingKind{sims: d.Sims}
 	default:
-		return fmt.Errorf("destset: sweep def kind %q (want %q or %q)", d.Kind, PlanKindTrace, PlanKindTiming)
+		return nil, fmt.Errorf("destset: sweep def kind %q (want %q or %q)", d.Kind, PlanKindTrace, PlanKindTiming)
+	}
+	for s := 0; s < k.specs(); s++ {
+		if err := k.validate(s); err != nil {
+			return nil, err
+		}
 	}
 	if len(d.Workloads) == 0 {
-		return fmt.Errorf("destset: sweep def needs at least one workload spec")
+		return nil, fmt.Errorf("destset: sweep def needs at least one workload spec")
 	}
 	for _, w := range d.Workloads {
 		if w.Open != nil {
-			return fmt.Errorf("destset: workload %q uses a custom Open stream source and cannot be serialized", w.label())
+			return nil, fmt.Errorf("destset: workload %q uses a custom Open stream source and cannot be serialized", w.label())
 		}
 		if w.Params == nil && w.Name == "" {
-			return fmt.Errorf("destset: workload spec needs a Name or Params")
+			return nil, fmt.Errorf("destset: workload spec needs a Name or Params")
 		}
 		if w.Params == nil {
 			if _, err := workload.Preset(w.Name, 0); err != nil {
-				return err
+				return nil, err
 			}
 		} else if err := w.Params.Validate(); err != nil {
-			return fmt.Errorf("destset: workload %q: %w", w.label(), err)
+			return nil, fmt.Errorf("destset: workload %q: %w", w.label(), err)
 		}
 	}
-	return nil
+	return k, nil
 }
 
 // runnerOptions rebuilds the plan-affecting runner options the def
@@ -190,21 +195,23 @@ func (d SweepDef) TimingRunner(extra ...RunnerOption) (*TimingRunner, error) {
 // equal def — however it got it, including over the wire — computes a
 // byte-identical plan.
 func (d SweepDef) Plan() (*SweepPlan, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Kind == PlanKindTrace {
-		r, err := d.Runner()
-		if err != nil {
-			return nil, err
-		}
-		return r.Plan()
-	}
-	r, err := d.TimingRunner()
+	k, err := d.kind()
 	if err != nil {
 		return nil, err
 	}
-	return r.Plan()
+	return planOf(k, d.Workloads, newRunnerConfig(d.runnerOptions(nil)))
+}
+
+// RunJSONL runs the sweep the definition describes, whichever its kind,
+// writing every observation to sink as one JSON line, in plan order.
+// extra options are process-local, as for Runner; the caller writes any
+// manifest first and flushes sink afterwards.
+func (d SweepDef) RunJSONL(ctx context.Context, sink *JSONLObserver, extra ...RunnerOption) error {
+	k, err := d.kind()
+	if err != nil {
+		return err
+	}
+	return k.runJSONL(ctx, d.Workloads, newRunnerConfig(d.runnerOptions(extra)), sink)
 }
 
 // SweepDataset names one shared dataset a sweep replays: a serializable
@@ -223,25 +230,7 @@ type SweepDataset struct {
 
 // params resolves the dataset's fully-specified workload parameters
 // (seed already applied) — the identity its content address hashes.
-func (sd SweepDataset) params() (workload.Params, error) {
-	w := sd.Workload
-	switch {
-	case w.Open != nil:
-		return workload.Params{}, fmt.Errorf("destset: workload %q uses a custom Open stream source and has no shared dataset", w.label())
-	case w.Params != nil:
-		p := *w.Params
-		// An imported trace is seed-invariant: its identity is the input
-		// content hash and every seed replays the same records.
-		if !p.Import.Enabled() {
-			p.Seed = sd.Seed
-		}
-		return p, nil
-	case w.Name != "":
-		return workload.Preset(w.Name, sd.Seed)
-	default:
-		return workload.Params{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
-	}
-}
+func (sd SweepDataset) params() (workload.Params, error) { return sd.Workload.params(sd.Seed) }
 
 // key resolves the dataset's tiered-store key.
 func (sd SweepDataset) key() (dataset.Key, error) {

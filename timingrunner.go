@@ -2,14 +2,10 @@ package destset
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"sync"
 
-	"destset/internal/dataset"
 	"destset/internal/sim"
-	"destset/internal/sweep"
-	"destset/internal/trace"
-	"destset/internal/workload"
 )
 
 // TimingResult is one completed timing cell: a SimSpec simulated over a
@@ -40,116 +36,14 @@ type TimingResult struct {
 type TimingObservation = TimingResult
 
 // TimingObserver receives per-cell timing observations. The TimingRunner
-// serializes calls, so observers need not be concurrency-safe.
+// serializes calls, in plan order, so observers need not be
+// concurrency-safe and see the same stream at every parallelism.
 type TimingObserver func(TimingObservation)
 
 // WithTimingObserver streams each completed timing cell to fn while the
 // sweep runs. It has no effect on the trace-driven Runner.
 func WithTimingObserver(fn TimingObserver) RunnerOption {
 	return func(c *runnerConfig) { c.timingObserver = fn }
-}
-
-// timingWorkload is a resolved WorkloadSpec for the timing path: a
-// source pair per seed plus an optional prepare hook that materializes
-// the shared dataset across the worker pool before cells run.
-type timingWorkload struct {
-	name    string
-	nodes   int
-	open    func(seed uint64) (warm, timed sim.Source, err error)
-	prepare func(seed uint64) error
-}
-
-// resolveTiming turns a WorkloadSpec into timing sources. Name- and
-// Params-based workloads resolve through the process-wide dataset store
-// and replay its columns zero-copy (dataset.Region); custom Open sources
-// are drained once per cell into materialized traces, since the timing
-// simulator needs random access for its reorder-buffer window.
-func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (timingWorkload, error) {
-	// 0 inherits the runner default; negative means "explicitly none".
-	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
-	if measure == 0 {
-		return timingWorkload{}, fmt.Errorf("destset: timing workload %q needs measured misses", w.label())
-	}
-	tw := timingWorkload{name: w.label(), nodes: w.Nodes}
-	var params func(seed uint64) (WorkloadParams, error)
-	switch {
-	case w.Open != nil:
-		if tw.nodes <= 0 {
-			return timingWorkload{}, fmt.Errorf("destset: workload %q uses a custom stream source and must set Nodes", tw.name)
-		}
-		nodes := tw.nodes
-		open := w.Open
-		tw.open = func(seed uint64) (sim.Source, sim.Source, error) {
-			st, err := open(seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			warmTr := &trace.Trace{Nodes: nodes, Records: make([]trace.Record, 0, warm)}
-			timedTr := &trace.Trace{Nodes: nodes, Records: make([]trace.Record, 0, measure)}
-			for i := 0; i < warm; i++ {
-				rec, _ := st.Next()
-				warmTr.Append(rec)
-			}
-			for i := 0; i < measure; i++ {
-				rec, _ := st.Next()
-				timedTr.Append(rec)
-			}
-			return sim.TraceSource(warmTr), sim.TraceSource(timedTr), nil
-		}
-		return tw, nil
-	case w.Params != nil:
-		base := *w.Params
-		if tw.nodes == 0 {
-			tw.nodes = base.Nodes
-		}
-		params = func(seed uint64) (WorkloadParams, error) {
-			p := base
-			// Imported traces are seed-invariant: every seed replays the
-			// one content-addressed dataset (same guard as resolve).
-			if !p.Import.Enabled() {
-				p.Seed = seed
-			}
-			return p, nil
-		}
-	case w.Name != "":
-		base, err := workload.Preset(w.Name, 0)
-		if err != nil {
-			return timingWorkload{}, err
-		}
-		if tw.nodes == 0 {
-			tw.nodes = base.Nodes
-		}
-		name := w.Name
-		params = func(seed uint64) (WorkloadParams, error) {
-			return workload.Preset(name, seed)
-		}
-	default:
-		return timingWorkload{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
-	}
-	tw.open = func(seed uint64) (sim.Source, sim.Source, error) {
-		p, err := params(seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := dataset.GetShared(p, warm, measure)
-		if err != nil {
-			return nil, nil, err
-		}
-		var warmSrc sim.Source
-		if warm > 0 {
-			warmSrc = d.WarmRegion()
-		}
-		return warmSrc, d.MeasureRegion(), nil
-	}
-	tw.prepare = func(seed uint64) error {
-		p, err := params(seed)
-		if err != nil {
-			return err
-		}
-		_, err = dataset.GetShared(p, warm, measure)
-		return err
-	}
-	return tw, nil
 }
 
 // TimingRunner fans a []SimSpec × []WorkloadSpec × seeds cross-product
@@ -177,12 +71,6 @@ func NewTimingRunner(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 	}
 }
 
-// timingCell is one coordinate of the cross-product.
-type timingCell struct {
-	wi, si int
-	seed   uint64
-}
-
 // Run executes the sweep and returns one TimingResult per cell, ordered
 // workload-major: for each workload, for each sim spec, for each seed.
 // Under WithShard only that shard's cells run; the results keep the
@@ -193,133 +81,90 @@ type timingCell struct {
 // execution-driven cells themselves check the context, so even a single
 // huge simulation aborts promptly.
 func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
-	if ctx == nil {
-		ctx = r.cfg.ctx
+	return run[TimingResult, TimingObservation](ctx, r.kind(), r.workloads, r.cfg, r.cfg.timingObserver)
+}
+
+// Plan returns the timing runner's sweep plan: its cells in execution
+// order with stable fingerprints. The plan does not depend on WithShard
+// — all shards of a sweep share one plan.
+func (r *TimingRunner) Plan() (*SweepPlan, error) { return planOf(r.kind(), r.workloads, r.cfg) }
+
+// Merge reassembles per-shard Run outputs into the exact full-run result
+// slice: shards[s] must be the output of an identically-configured
+// TimingRunner run with WithShard(s, len(shards)). Every merged cell is
+// checked against the plan's coordinates.
+func (r *TimingRunner) Merge(shards [][]TimingResult) ([]TimingResult, error) {
+	return mergeResults[TimingResult, TimingObservation](r.kind(), r.workloads, r.cfg, shards)
+}
+
+func (r *TimingRunner) kind() timingKind { return timingKind{sims: r.sims} }
+
+// timingKind is the execution-driven cell kind: a sim spec simulated
+// over a workload. Each cell emits exactly one observation, its result,
+// and its stored record is exactly that observation's JSONL line, so one
+// format serves the runner, the coordinator and the observations
+// endpoint alike.
+type timingKind struct{ sims []SimSpec }
+
+func (k timingKind) kind() string { return PlanKindTiming }
+
+// tag ignores the observation interval, which is meaningless to timing
+// cells (one observation each).
+func (k timingKind) tag() string              { return PlanKindTiming }
+func (k timingKind) specs() int               { return len(k.sims) }
+func (k timingKind) label(s int) string       { return k.sims[s].DisplayLabel() }
+func (k timingKind) fingerprint(s int) string { return fingerprintSimSpec(k.sims[s]) }
+func (k timingKind) validate(s int) error     { return k.sims[s].validate() }
+func (k timingKind) coords(res TimingResult) (string, string, uint64) {
+	return res.Sim, res.Workload, res.Seed
+}
+
+func (k timingKind) runJSONL(ctx context.Context, workloads []WorkloadSpec, cfg runnerConfig, sink *JSONLObserver) error {
+	_, err := run[TimingResult, TimingObservation](ctx, k, workloads, cfg, sink.ObserveTiming)
+	return err
+}
+
+func (k timingKind) eval(ctx context.Context, s int, w cellWorkload, seed uint64, emit func(TimingObservation)) (TimingResult, error) {
+	if w.measure == 0 {
+		return TimingResult{}, fmt.Errorf("destset: timing workload %q needs measured misses", w.name)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(r.sims) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: TimingRunner needs at least one sim spec and one workload spec")
-	}
-	for _, s := range r.sims {
-		if err := s.validate(); err != nil {
-			return nil, err
-		}
-	}
-	workloads := make([]timingWorkload, len(r.workloads))
-	for i, w := range r.workloads {
-		tw, err := w.resolveTiming(r.cfg.warm, r.cfg.measure)
-		if err != nil {
-			return nil, err
-		}
-		workloads[i] = tw
-	}
-	cells := make([]timingCell, 0, len(r.sims)*len(workloads)*len(r.cfg.seeds))
-	for wi := range workloads {
-		for si := range r.sims {
-			for _, seed := range r.cfg.seeds {
-				cells = append(cells, timingCell{wi: wi, si: si, seed: seed})
-			}
-		}
-	}
-	subset, err := sweep.SubsetIndices(len(cells), r.cfg.cells, r.cfg.shard, r.cfg.shards)
+	spec := k.sims[s]
+	cfg, err := spec.Resolve(w.nodes)
 	if err != nil {
-		return nil, err
+		return TimingResult{}, err
 	}
-
-	// Result store: resolve every cell the store can serve up front —
-	// their results replay without simulating, and their datasets are
-	// not even prewarmed, so a fully-warm rerun touches neither the
-	// simulator nor the generator. Custom-Open workloads are never
-	// cached (their fingerprints do not cover the stream contents).
-	store := r.cfg.resolveResultStore()
-	var (
-		cellFPs []string
-		hits    []*TimingResult
-	)
-	live := subset
-	if store != nil {
-		plan, perr := r.Plan()
-		if perr != nil {
-			return nil, perr
-		}
-		cellFPs = make([]string, len(cells))
-		for i := range cells {
-			cellFPs[i] = plan.Cell(i).Fingerprint
-		}
-		hits = make([]*TimingResult, len(cells))
-		live = make([]int, 0, len(subset))
-		for _, i := range subset {
-			if r.workloads[cells[i].wi].Open == nil {
-				if tr, ok := store.getTiming(cellFPs[i]); ok {
-					hit := tr
-					hits[i] = &hit
-					continue
-				}
-			}
-			live = append(live, i)
-		}
-	}
-
-	// Prewarm phase: materialize every shared dataset this shard's cells
-	// replay — once per (workload, seed) — before any cell runs, so
-	// generation fans out over the pool instead of serializing the first
-	// cells of each workload.
-	jobs := sweep.PrewarmJobsFor(live, func(i int) sweep.PrewarmJob {
-		return sweep.PrewarmJob{W: cells[i].wi, Seed: cells[i].seed}
-	})
-	err = sweep.Prewarm(ctx, r.cfg.parallelism, jobs,
-		func(w int) func(uint64) error { return workloads[w].prepare },
-		func(w int) string { return workloads[w].name })
+	warm, timed, err := w.simSources(seed)
 	if err != nil {
-		return nil, err
+		return TimingResult{}, fmt.Errorf("destset: workload %q: %w", w.name, err)
 	}
+	res, err := sim.Simulate(ctx, cfg, warm, timed)
+	if err != nil {
+		return TimingResult{}, err
+	}
+	tr := TimingResult{
+		Sim:      spec.DisplayLabel(),
+		Config:   cfg.Name(),
+		Workload: w.name,
+		Seed:     seed,
+		CPU:      cfg.CPU.String(),
+		Result:   res,
+	}
+	if emit != nil {
+		emit(tr)
+	}
+	return tr, nil
+}
 
-	var obsMu sync.Mutex
-	observe := r.cfg.timingObserver
-	return sweep.Collect(ctx, subset, r.cfg.parallelism, func(ctx context.Context, i int) (*TimingResult, error) {
-		if hits != nil && hits[i] != nil {
-			tr := hits[i]
-			if observe != nil {
-				obsMu.Lock()
-				observe(*tr)
-				obsMu.Unlock()
-			}
-			return tr, nil
-		}
-		c := cells[i]
-		spec, w := r.sims[c.si], workloads[c.wi]
-		cfg, err := spec.Resolve(w.nodes)
-		if err != nil {
-			return nil, err
-		}
-		warmSrc, timedSrc, err := w.open(c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("destset: workload %q: %w", w.name, err)
-		}
-		res, err := sim.Simulate(ctx, cfg, warmSrc, timedSrc)
-		if err != nil {
-			return nil, err
-		}
-		tr := &TimingResult{
-			Sim:      spec.DisplayLabel(),
-			Config:   cfg.Name(),
-			Workload: w.name,
-			Seed:     c.seed,
-			CPU:      cfg.CPU.String(),
-			Result:   res,
-		}
-		if observe != nil {
-			obsMu.Lock()
-			observe(*tr)
-			obsMu.Unlock()
-		}
-		if store != nil && r.workloads[c.wi].Open == nil {
-			store.putTiming(cellFPs[i], *tr)
-		}
-		return tr, nil
-	})
+func (k timingKind) encode(res TimingResult, _ []TimingObservation) ([]byte, error) {
+	return json.Marshal(res)
+}
+
+func (k timingKind) decode(payload []byte, _ PlanCell) (TimingResult, []TimingObservation, bool) {
+	var tr TimingResult
+	if json.Unmarshal(payload, &tr) != nil {
+		return TimingResult{}, nil, false
+	}
+	return tr, []TimingObservation{tr}, true
 }
 
 // EvaluateTiming runs a single (sim, workload) timing cell — the
