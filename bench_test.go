@@ -541,33 +541,6 @@ func BenchmarkProtocolMulticastProcess(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceEncodeDecode(b *testing.B) {
-	p, _ := workload.Preset("ocean", 1)
-	g, err := workload.New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _ := g.Generate(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := trace.WriteAll(&buf, tr); err != nil {
-			b.Fatal(err)
-		}
-		r, err := trace.NewReader(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := r.ReadAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Len() != tr.Len() {
-			b.Fatal("length mismatch")
-		}
-	}
-}
-
 // BenchmarkLeaseDispatch measures the distributed coordinator's
 // lease/complete round trip — the protocol hot path every worker drives
 // between cells — over real HTTP on an in-memory listener: per

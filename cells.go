@@ -33,6 +33,10 @@ type sweepKind interface {
 	label(s int) string
 	fingerprint(s int) string
 	validate(s int) error
+	// custom reports whether spec s carries a NewPredictor factory:
+	// code, not data, so the spec does not serialize and its cells
+	// bypass the result store.
+	custom(s int) bool
 	// runJSONL runs the sweep, writing every observation to sink.
 	runJSONL(ctx context.Context, workloads []WorkloadSpec, cfg runnerConfig, sink *JSONLObserver) error
 }
@@ -204,8 +208,9 @@ func planOf(k sweepKind, workloads []WorkloadSpec, cfg runnerConfig) (*SweepPlan
 // returns one result per cell in plan order, streaming observations to
 // observe in plan order. With a result store, cells it holds are served
 // without computing (or preparing their datasets) and computed cells are
-// stored; cells of custom-Open workloads are never cached, since their
-// fingerprints cover only the label and shape, not the stream contents.
+// stored. Cells of custom-Open workloads or NewPredictor specs are never
+// cached: their fingerprints cover only labels and shapes, not the code
+// behind them.
 func run[R, O any](ctx context.Context, k cellKind[R, O], specs []WorkloadSpec, cfg runnerConfig, observe func(O)) ([]R, error) {
 	if ctx == nil {
 		ctx = cfg.ctx
@@ -254,9 +259,13 @@ func run[R, O any](ctx context.Context, k cellKind[R, O], specs []WorkloadSpec, 
 		},
 	}
 	if store := cfg.resolveResultStore(); store != nil {
+		cacheable := func(i int) bool {
+			s, w, _ := at(i)
+			return w.Open == nil && !k.custom(s)
+		}
 		job.Lookup = func(i int) (res R, obs []O, ok bool) {
 			c := plan.Cell(i)
-			if _, w, _ := at(i); w.Open != nil {
+			if !cacheable(i) {
 				return res, nil, false
 			}
 			kind, payload, ok := store.s.Get(c.Fingerprint)
@@ -266,7 +275,7 @@ func run[R, O any](ctx context.Context, k cellKind[R, O], specs []WorkloadSpec, 
 			return k.decode(payload, c)
 		}
 		job.Store = func(i int, res R, obs []O) {
-			if _, w, _ := at(i); w.Open != nil {
+			if !cacheable(i) {
 				return
 			}
 			// Best-effort: a record that fails to encode is recomputed

@@ -12,7 +12,6 @@ import (
 	"destset"
 	"destset/internal/dataset"
 	"destset/internal/ingest"
-	"destset/internal/trace"
 	"destset/internal/workload"
 )
 
@@ -48,29 +47,6 @@ const testCSV = `addr,cpu,op,pc,gap
 0x1040,0,W,0x414,110
 `
 
-// TestSummaryHeaderOnlyLegacyFile pins the sniffing fix: a legacy trace
-// file holding zero records is just its 6-byte header, and -summarize
-// must read it rather than reject it as truncated.
-func TestSummaryHeaderOnlyLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := trace.NewWriter(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	out := captureStdout(t, func() error { return summary(path) })
-	if !strings.Contains(out, "0 misses") {
-		t.Errorf("summary of header-only trace = %q, want a 0-miss report", out)
-	}
-}
-
 // TestSummaryFailsOnBadInput pins the non-zero-exit contract: truncated
 // or empty inputs must surface an error from summary (main turns it
 // into exit 1), not a partial report.
@@ -103,6 +79,14 @@ func TestSummaryFailsOnBadInput(t *testing.T) {
 	}
 	if err := summary(empty); err == nil {
 		t.Error("summary accepted an empty file")
+	}
+
+	csv := filepath.Join(dir, "trace.csv")
+	if err := os.WriteFile(csv, []byte(testCSV), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := summary(csv); err == nil || !strings.Contains(err.Error(), "not a dataset file") {
+		t.Errorf("summary of a CSV trace = %v, want a not-a-dataset error", err)
 	}
 }
 

@@ -25,9 +25,10 @@
 // The experiment API is built from three composable pieces:
 //
 //   - Specs: EngineSpec and WorkloadSpec are inert value descriptions of
-//     a protocol engine and a workload; registries (RegisterPolicy,
-//     RegisterWorkload, RegisterEngine) let callers add custom policies,
-//     presets and protocol engines that sweep exactly like the paper's.
+//     a protocol engine and a workload. Custom prediction policies
+//     (EngineSpec.NewPredictor), workload parameters (WorkloadSpec.Params)
+//     and stream sources (WorkloadSpec.Open) travel in the specs and sweep
+//     exactly like the paper's built-ins.
 //   - Runner: fans a []EngineSpec × []WorkloadSpec × seeds cross-product
 //     over a worker pool, streams per-interval Observations to
 //     observers in plan order, honors context cancellation, and returns
@@ -156,7 +157,8 @@ type (
 	Generator = workload.Generator
 )
 
-// Workloads returns the six paper benchmark names.
+// Workloads returns the built-in preset names, sorted: the six paper
+// benchmarks plus the phased, tenant-mix and regulated compositions.
 func Workloads() []string { return workload.Names() }
 
 // NewWorkload returns a named preset's parameters.
@@ -259,8 +261,8 @@ type TradeoffResult struct {
 // compatibility wrapper over the Runner: Broadcast maps to the snooping
 // engine, Minimal to the directory engine, and every other policy to
 // multicast snooping at the paper's standout predictor configuration.
-// For other engines (the predictive-directory hybrid, custom registered
-// protocols) or multi-cell sweeps, use Evaluate or Runner directly.
+// For other engines (the predictive-directory hybrid), custom policies
+// or multi-cell sweeps, use Evaluate or Runner directly.
 func EvaluatePolicy(workloadName string, policy Policy, seed uint64, warmMisses, measureMisses int) (TradeoffResult, error) {
 	return Evaluate(context.Background(),
 		SpecForPolicy(policy),

@@ -1,6 +1,6 @@
-// Custompolicy: register a new destination-set prediction policy and
-// sweep it through the same high-level Runner as the paper's policies —
-// no internal package is touched.
+// Custompolicy: plug a new destination-set prediction policy into an
+// EngineSpec and sweep it through the same high-level Runner as the
+// paper's policies — no internal package is touched.
 //
 // The custom "PairSet" policy remembers the last two distinct nodes seen
 // touching each macroblock and predicts both — a middle ground between
@@ -78,19 +78,14 @@ func (p *pairSet) TrainRetry(destset.Retry) {}
 func (p *pairSet) Name() string { return "PairSet[1024B]" }
 
 func main() {
-	// One registration makes "pairset" a first-class policy: EngineSpec
-	// can name it, the Runner sweeps it, and it composes with any
-	// registered protocol engine.
-	err := destset.RegisterPolicy("pairset", func(cfg destset.PredictorConfig) destset.Predictor {
-		return newPairSet(cfg.Nodes)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	// The spec carries the policy: NewPredictor builds each node's
+	// predictor and PolicyName labels it, so the Runner sweeps it like
+	// any built-in policy.
 	engines := []destset.EngineSpec{
 		destset.SpecForPolicy(destset.Owner),
-		{PolicyName: "pairset"},
+		{PolicyName: "pairset", NewPredictor: func(cfg destset.PredictorConfig) destset.Predictor {
+			return newPairSet(cfg.Nodes)
+		}},
 		destset.SpecForPolicy(destset.Group),
 	}
 	results, err := destset.NewRunner(engines,

@@ -54,7 +54,7 @@ func TimingSpecs(cpu destset.CPUModel) []destset.SimSpec {
 // matchesProtocol reports whether a spec's display label (e.g.
 // "multicast+group") matches one of the filters. A filter matches the
 // whole label, its protocol part, or its policy part, after the policy
-// registry's name normalization — so "snooping", "Multicast+Group" and
+// predictor package's name normalization — so "snooping", "Multicast+Group" and
 // "owner_group" all select what they read as.
 func matchesProtocol(spec destset.SimSpec, filters []string) bool {
 	label := spec.DisplayLabel()

@@ -93,7 +93,7 @@ type Predictor interface {
 // engines wrapping caller-owned predictor banks use it to give Reset and
 // Clone full lifecycle fidelity — without it they can only clear
 // accounting, not training. Every built-in policy implements it;
-// registered custom predictors may.
+// custom predictors may.
 type Cloner interface {
 	CloneFresh() Predictor
 }

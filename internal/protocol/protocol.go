@@ -21,6 +21,8 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"destset/internal/coherence"
 	"destset/internal/nodeset"
@@ -71,7 +73,7 @@ type Engine interface {
 	// bank fresh when every member implements predictor.Cloner — all
 	// built-in policies do; otherwise they clear accounting counters
 	// but keep the bank's training. The *WithFactory constructors (and
-	// the engine registry) always reset with full fidelity.
+	// NewByName) always reset with full fidelity.
 	Reset()
 	// Clone returns an engine with the same configuration and no
 	// accumulated accounting state. Factory-built engines clone with a
@@ -359,4 +361,59 @@ func (t *Totals) BytesPerMiss() float64 {
 func (t *Totals) String() string {
 	return fmt.Sprintf("misses=%d req/miss=%.2f indirections=%.1f%% bytes/miss=%.1f",
 		t.Misses, t.RequestMsgsPerMiss(), t.IndirectionPercent(), t.BytesPerMiss())
+}
+
+// Built-in protocol names.
+const (
+	SnoopingName            = "snooping"
+	DirectoryName           = "directory"
+	MulticastName           = "multicast"
+	PredictiveDirectoryName = "predictive-directory"
+)
+
+// engineNames lists the built-in protocol names, sorted, for error
+// messages.
+var engineNames = []string{DirectoryName, MulticastName, PredictiveDirectoryName, SnoopingName}
+
+// Spec carries what NewByName needs to build one engine instance.
+type Spec struct {
+	// Nodes is the system size of the workload being evaluated.
+	Nodes int
+	// NewBank returns a fresh, untrained predictor bank (one predictor
+	// per node). It is nil when the caller configured no prediction
+	// policy; predictor-based engines must reject that.
+	NewBank func() []predictor.Predictor
+}
+
+// EngineNames returns the built-in protocol names, sorted.
+func EngineNames() []string { return append([]string(nil), engineNames...) }
+
+// HasEngine reports whether name is a built-in protocol name.
+func HasEngine(name string) bool { return slices.Contains(engineNames, engineKey(name)) }
+
+// engineKey normalizes a protocol name: names match case-insensitively.
+func engineKey(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+
+// NewByName builds a fresh engine from a built-in protocol name.
+func NewByName(name string, s Spec) (Engine, error) {
+	switch engineKey(name) {
+	case SnoopingName:
+		if s.Nodes <= 0 {
+			return nil, fmt.Errorf("protocol: snooping engine needs a node count")
+		}
+		return NewSnooping(s.Nodes), nil
+	case DirectoryName:
+		return NewDirectory(), nil
+	case MulticastName:
+		if s.NewBank == nil {
+			return nil, fmt.Errorf("protocol: multicast engine needs a prediction policy")
+		}
+		return NewMulticastWithFactory(s.NewBank), nil
+	case PredictiveDirectoryName:
+		if s.NewBank == nil {
+			return nil, fmt.Errorf("protocol: predictive-directory engine needs a prediction policy")
+		}
+		return NewPredictiveDirectoryWithFactory(s.NewBank), nil
+	}
+	return nil, fmt.Errorf("protocol: unknown engine %q (have %v)", name, engineNames)
 }

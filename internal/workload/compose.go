@@ -380,13 +380,13 @@ func (p Params) SpanMacroblocks() int {
 }
 
 // PaperNames returns the paper's six benchmark names — the calibrated
-// presets behind Tables 1–2, as opposed to everything Register added.
+// presets behind Tables 1–2, as opposed to the composition presets.
 func PaperNames() []string {
 	return []string{"apache", "barnes-hut", "ocean", "oltp", "slashcode", "specjbb"}
 }
 
-// composeBase is the small synthetic base the registered composition
-// presets build on: modest footprint (so K offset instances stay cheap)
+// composeBase is the small synthetic base the composition presets
+// build on: modest footprint (so K offset instances stay cheap)
 // with the usual pattern mixture knobs.
 func composeBase(name string, mix Mix) Params {
 	return Params{
@@ -413,7 +413,7 @@ func composeBase(name string, mix Mix) Params {
 	}
 }
 
-// PhasedPreset is the registered "phased" workload: a migratory-dominated
+// PhasedPreset is the "phased" workload: a migratory-dominated
 // phase alternating with a producer-consumer phase on one oracle, so
 // prediction value shifts every 12k misses.
 func PhasedPreset(seed uint64) Params {
@@ -431,7 +431,7 @@ func PhasedPreset(seed uint64) Params {
 	return p
 }
 
-// TenantMixPreset is the registered "tenant-mix" workload: three
+// TenantMixPreset is the "tenant-mix" workload: three
 // independent OLTP-like instances interleaved on one protocol at
 // disjoint address offsets.
 func TenantMixPreset(seed uint64) Params {
@@ -445,7 +445,7 @@ func TenantMixPreset(seed uint64) Params {
 	return p
 }
 
-// RegulatedPreset is the registered "regulated" workload: an
+// RegulatedPreset is the "regulated" workload: an
 // Apache-like mix under the LMS bandwidth regulator, tuned so busy CPUs
 // actually hit the budget and throttle.
 func RegulatedPreset(seed uint64) Params {
@@ -458,16 +458,4 @@ func RegulatedPreset(seed uint64) Params {
 	p.Name = "regulated"
 	p.Seed = seed
 	return p
-}
-
-func init() {
-	for name, fn := range map[string]PresetFunc{
-		"phased":     PhasedPreset,
-		"tenant-mix": TenantMixPreset,
-		"regulated":  RegulatedPreset,
-	} {
-		if err := Register(name, fn); err != nil {
-			panic(err)
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The six benchmark presets below model the workloads of the paper's
@@ -197,58 +196,24 @@ func SPECjbb(seed uint64) Params {
 	}
 }
 
-// PresetFunc builds a workload's parameters for one seed.
-type PresetFunc func(seed uint64) Params
-
 // presets maps workload names to their constructors: the six paper
-// benchmarks plus anything added through Register.
-var presets = struct {
-	sync.RWMutex
-	m map[string]PresetFunc
-}{m: map[string]PresetFunc{
+// benchmarks plus the three composition presets (see compose.go).
+var presets = map[string]func(seed uint64) Params{
 	"apache":     Apache,
 	"barnes-hut": BarnesHut,
 	"ocean":      Ocean,
 	"oltp":       OLTP,
 	"slashcode":  Slashcode,
 	"specjbb":    SPECjbb,
-}}
-
-// presetKey normalizes a preset name for registration and lookup, so
-// names are matched case-insensitively like the policy and engine
-// registries.
-func presetKey(name string) string {
-	return strings.ToLower(strings.TrimSpace(name))
+	"phased":     PhasedPreset,
+	"tenant-mix": TenantMixPreset,
+	"regulated":  RegulatedPreset,
 }
 
-// Register adds a named workload preset so it becomes sweepable through
-// the high-level experiment API alongside the paper's six benchmarks.
-// Names match case-insensitively; Register fails on an empty name, a
-// nil preset, or a duplicate name.
-func Register(name string, fn PresetFunc) error {
-	key := presetKey(name)
-	if key == "" {
-		return fmt.Errorf("workload: empty preset name")
-	}
-	if fn == nil {
-		return fmt.Errorf("workload: nil preset for %q", name)
-	}
-	presets.Lock()
-	defer presets.Unlock()
-	if _, dup := presets.m[key]; dup {
-		return fmt.Errorf("workload: preset %q already registered", key)
-	}
-	presets.m[key] = fn
-	return nil
-}
-
-// Names returns the preset workload names in a stable order (the paper's
-// alphabetical benchmark order; registered presets interleave).
+// Names returns the preset workload names, sorted.
 func Names() []string {
-	presets.RLock()
-	defer presets.RUnlock()
-	names := make([]string, 0, len(presets.m))
-	for n := range presets.m {
+	names := make([]string, 0, len(presets))
+	for n := range presets {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -258,21 +223,18 @@ func Names() []string {
 // Preset returns the named workload's parameters with the given seed.
 // Names match case-insensitively.
 func Preset(name string, seed uint64) (Params, error) {
-	presets.RLock()
-	fn, ok := presets.m[presetKey(name)]
-	presets.RUnlock()
+	fn, ok := presets[strings.ToLower(strings.TrimSpace(name))]
 	if !ok {
 		return Params{}, fmt.Errorf("workload: unknown preset %q (have %v)", name, Names())
 	}
 	return fn(seed), nil
 }
 
-// All returns every registered workload with the given seed.
+// All returns every preset workload with the given seed, in Names order.
 func All(seed uint64) []Params {
-	out := make([]Params, 0, len(Names()))
+	out := make([]Params, 0, len(presets))
 	for _, n := range Names() {
-		p, _ := Preset(n, seed)
-		out = append(out, p)
+		out = append(out, presets[n](seed))
 	}
 	return out
 }

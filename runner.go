@@ -234,6 +234,7 @@ func (k traceKind) specs() int               { return len(k.engines) }
 func (k traceKind) label(s int) string       { return k.engines[s].DisplayLabel() }
 func (k traceKind) fingerprint(s int) string { return fingerprintEngineSpec(k.engines[s]) }
 func (k traceKind) validate(s int) error     { return k.engines[s].validate() }
+func (k traceKind) custom(s int) bool        { return k.engines[s].NewPredictor != nil }
 func (k traceKind) coords(res RunResult) (string, string, uint64) {
 	return res.Engine, res.Workload, res.Seed
 }
@@ -306,7 +307,7 @@ func runResult(label, engineName, workload string, seed uint64, t Totals) RunRes
 
 // Evaluate runs a single (engine, workload) cell — the one-call version
 // of the Runner for a single tradeoff point. Unlike EvaluatePolicy it
-// reaches every registered protocol engine, including the Acacio-style
+// reaches every built-in protocol engine, including the Acacio-style
 // predictive-directory hybrid:
 //
 //	Evaluate(ctx,

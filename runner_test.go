@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -28,17 +27,10 @@ func allPolicySpecs() []destset.EngineSpec {
 }
 
 func workloadSpecs(warm, measure int) []destset.WorkloadSpec {
-	names := destset.Workloads()
-	out := make([]destset.WorkloadSpec, 0, len(names))
-	paper := map[string]bool{
-		"apache": true, "barnes-hut": true, "ocean": true,
-		"oltp": true, "slashcode": true, "specjbb": true,
-	}
-	for _, n := range names {
-		if !paper[n] {
-			continue // tests in this binary may register extra presets
-		}
-		out = append(out, destset.WorkloadSpec{Name: n, Warm: warm, Measure: measure})
+	names := []string{"apache", "barnes-hut", "ocean", "oltp", "slashcode", "specjbb"}
+	out := make([]destset.WorkloadSpec, len(names))
+	for i, n := range names {
+		out[i] = destset.WorkloadSpec{Name: n, Warm: warm, Measure: measure}
 	}
 	return out
 }
@@ -189,41 +181,104 @@ func TestRunnerStreamsObservations(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicyErrors(t *testing.T) {
-	if err := destset.RegisterPolicy("", func(destset.PredictorConfig) destset.Predictor { return nil }); err == nil {
-		t.Error("empty policy name should fail")
+// builds returns a NewPredictor factory that ignores its configuration
+// and builds policy p at the paper's standout configuration.
+func builds(p destset.Policy) destset.PolicyFactory {
+	return func(cfg destset.PredictorConfig) destset.Predictor {
+		return destset.NewPredictor(destset.DefaultPredictorConfig(p, cfg.Nodes))
 	}
-	if err := destset.RegisterPolicy("nilfactory", nil); err == nil {
-		t.Error("nil factory should fail")
-	}
-	// Built-in names collide, including case-insensitive variants.
-	if err := destset.RegisterPolicy("owner", func(cfg destset.PredictorConfig) destset.Predictor {
-		return destset.NewPredictor(cfg)
-	}); err == nil {
-		t.Error("duplicate of built-in owner should fail")
-	}
-	if err := destset.RegisterPolicy("OWNER", func(cfg destset.PredictorConfig) destset.Predictor {
-		return destset.NewPredictor(cfg)
-	}); err == nil {
-		t.Error("case-variant duplicate should fail")
-	}
-	factory := func(cfg destset.PredictorConfig) destset.Predictor {
-		return destset.NewPredictor(destset.DefaultPredictorConfig(destset.Owner, cfg.Nodes))
-	}
-	if err := destset.RegisterPolicy("reg-test-policy", factory); err != nil {
+}
+
+// TestNewPredictorMatchesBuiltin: a spec-carried factory that builds
+// Owner reproduces the built-in Owner spec exactly, through the trace
+// Runner and the TimingRunner.
+func TestNewPredictorMatchesBuiltin(t *testing.T) {
+	ctx := context.Background()
+	wl := destset.WorkloadSpec{Name: "oltp", Warm: 3000, Measure: 3000}
+	custom := destset.EngineSpec{PolicyName: "owner", NewPredictor: builds(destset.Owner)}
+	got, err := destset.NewRunner([]destset.EngineSpec{custom}, []destset.WorkloadSpec{wl}).Run(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := destset.RegisterPolicy("RegTestPolicy", factory); err == nil {
-		t.Error("normalized duplicate should fail")
+	want, err := destset.NewRunner([]destset.EngineSpec{destset.SpecForPolicy(destset.Owner)},
+		[]destset.WorkloadSpec{wl}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, n := range destset.Policies() {
-		if n == "regtestpolicy" {
-			found = true
+	if len(got) != 1 || got[0] != want[0] {
+		t.Errorf("NewPredictor Owner diverges from SpecForPolicy(Owner):\n got:  %+v\n want: %+v", got, want)
+	}
+
+	simCustom := destset.SimSpec{PolicyName: "owner", NewPredictor: builds(destset.Owner)}
+	simWant := destset.SimSpec{Protocol: destset.ProtocolMulticast, Policy: destset.Owner, UsePolicy: true}
+	tgot, err := destset.NewTimingRunner([]destset.SimSpec{simCustom}, []destset.WorkloadSpec{wl}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twant, err := destset.NewTimingRunner([]destset.SimSpec{simWant}, []destset.WorkloadSpec{wl}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tgot[0].Sim != "multicast+owner" || tgot[0].Sim != twant[0].Sim {
+		t.Errorf("sim labels %q vs %q", tgot[0].Sim, twant[0].Sim)
+	}
+	if tgot[0].Result != twant[0].Result {
+		t.Errorf("NewPredictor Owner timing diverges:\n got:  %+v\n want: %+v", tgot[0].Result, twant[0].Result)
+	}
+}
+
+// TestNewPredictorSpecErrors: a factory needs a label, and a SweepDef
+// refuses factory-carrying specs by label — a function cannot cross a
+// process boundary.
+func TestNewPredictorSpecErrors(t *testing.T) {
+	wl := []destset.WorkloadSpec{{Name: "oltp", Warm: 10, Measure: 10}}
+	_, err := destset.NewRunner([]destset.EngineSpec{{NewPredictor: builds(destset.Owner)}}, wl).
+		Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "PolicyName") {
+		t.Errorf("unlabeled factory: err = %v", err)
+	}
+	// Any label goes: it need not be a built-in policy name.
+	custom := destset.EngineSpec{PolicyName: "my-pairs", NewPredictor: builds(destset.Group)}
+	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, wl).Run(context.Background()); err != nil {
+		t.Errorf("custom label: %v", err)
+	}
+	for _, def := range []destset.SweepDef{
+		destset.NewTraceSweepDef([]destset.EngineSpec{custom}, wl),
+		destset.NewTimingSweepDef([]destset.SimSpec{{PolicyName: "my-pairs", NewPredictor: builds(destset.Group)}}, wl),
+	} {
+		err := def.Validate()
+		if err == nil || !strings.Contains(err.Error(), `"multicast+mypairs"`) ||
+			!strings.Contains(err.Error(), "NewPredictor") {
+			t.Errorf("%s def with NewPredictor: Validate = %v, want refusal by label", def.Kind, err)
 		}
 	}
-	if !found {
-		t.Errorf("registered policy missing from Policies(): %v", destset.Policies())
+}
+
+// TestNewPredictorBypassesResultStore: two runs sharing one result
+// store, with the same PolicyName but different factories, compute
+// different results — the store neither serves nor stores such cells,
+// since their fingerprint cannot see the factory.
+func TestNewPredictorBypassesResultStore(t *testing.T) {
+	store := destset.NewResultStore()
+	wl := []destset.WorkloadSpec{{Name: "oltp", Warm: 3000, Measure: 3000}}
+	run := func(f destset.PolicyFactory) destset.RunResult {
+		t.Helper()
+		res, err := destset.NewRunner([]destset.EngineSpec{{PolicyName: "mine", NewPredictor: f}}, wl,
+			destset.WithResultStore(store)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	owner, group := run(builds(destset.Owner)), run(builds(destset.Group))
+	if owner.Engine != group.Engine {
+		t.Fatalf("labels differ: %q vs %q", owner.Engine, group.Engine)
+	}
+	if owner.Totals == group.Totals {
+		t.Error("different factories under one label share a result")
+	}
+	if st := store.Stats(); st.Stores != 0 || st.Records != 0 {
+		t.Errorf("NewPredictor cells reached the store: %+v", st)
 	}
 }
 
@@ -259,90 +314,34 @@ func TestRunnerUnknownNamesError(t *testing.T) {
 	}
 }
 
-func TestRegisterWorkloadAndSweep(t *testing.T) {
+// TestParamsWorkloadSweep: a custom workload travels in the spec as
+// explicit parameters and sweeps like a preset.
+func TestParamsWorkloadSweep(t *testing.T) {
 	params, err := destset.NewWorkload("barnes-hut", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preset := func(seed uint64) destset.WorkloadParams {
-		p := params
-		p.Name = "tiny-barnes"
-		p.Seed = seed
-		p.SharedUnits = 64
-		p.StreamBlocksPerNode = 2048
-		return p
-	}
-	if err := destset.RegisterWorkload("tiny-barnes", preset); err != nil {
-		t.Fatal(err)
-	}
-	if err := destset.RegisterWorkload("tiny-barnes", preset); err == nil {
-		t.Error("duplicate workload registration should fail")
-	}
-	if err := destset.RegisterWorkload("", preset); err == nil {
-		t.Error("empty workload name should fail")
-	}
-	found := false
-	for _, n := range destset.Workloads() {
-		if n == "tiny-barnes" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered workload missing from Workloads(): %v", destset.Workloads())
-	}
+	params.Name = "tiny-barnes"
+	params.SharedUnits = 64
+	params.StreamBlocksPerNode = 2048
 	res, err := destset.NewRunner(
 		[]destset.EngineSpec{destset.SpecForPolicy(destset.Owner)},
-		[]destset.WorkloadSpec{{Name: "tiny-barnes", Warm: 500, Measure: 500}},
+		[]destset.WorkloadSpec{{Params: &params, Warm: 500, Measure: 500}},
+		destset.WithSeeds(1, 2),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0].Totals.Misses != 500 {
-		t.Errorf("sweep over registered workload: %+v", res)
+	if len(res) != 2 {
+		t.Fatalf("got %d results, want 2", len(res))
 	}
-}
-
-func TestRegisterEngineAndSweep(t *testing.T) {
-	// A trivial custom engine: directory accounting with a constant
-	// per-miss overhead message, built through the public factory hook.
-	factory := func(nodes int, newBank func() []destset.Predictor) (destset.Engine, error) {
-		if nodes <= 0 {
-			return nil, fmt.Errorf("need nodes")
-		}
-		return destset.NewDirectoryEngine(), nil
-	}
-	if err := destset.RegisterEngine("dir-alias", factory); err != nil {
-		t.Fatal(err)
-	}
-	if err := destset.RegisterEngine("dir-alias", factory); err == nil {
-		t.Error("duplicate engine registration should fail")
-	}
-	if err := destset.RegisterEngine("", factory); err == nil {
-		t.Error("empty engine name should fail")
-	}
-	found := false
-	for _, n := range destset.Engines() {
-		if n == "dir-alias" {
-			found = true
+	for _, r := range res {
+		if r.Workload != "tiny-barnes" || r.Totals.Misses != 500 {
+			t.Errorf("sweep over Params workload: %+v", r)
 		}
 	}
-	if !found {
-		t.Fatalf("registered engine missing from Engines(): %v", destset.Engines())
-	}
-	got, err := destset.Evaluate(context.Background(),
-		destset.EngineSpec{Protocol: "dir-alias"},
-		destset.WorkloadSpec{Name: "oltp", Warm: 2000, Measure: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := destset.Evaluate(context.Background(),
-		destset.EngineSpec{Protocol: destset.ProtocolDirectory},
-		destset.WorkloadSpec{Name: "oltp", Warm: 2000, Measure: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("aliased engine diverges: %+v vs %+v", got, want)
+	if res[0].Totals == res[1].Totals {
+		t.Error("the cell seed should reach the Params workload")
 	}
 }
 

@@ -16,23 +16,26 @@ import (
 // sim.Config from the spec for every sweep cell, so the same spec can
 // appear in many concurrent runs.
 //
-// SimSpec mirrors EngineSpec: the same protocol names, the same three
-// ways to pick a policy (PolicyName through the registry, Policy by
-// value, or an explicit Predictor configuration), the same defaulting to
-// the paper's standout predictor. The timing model simulates the three
-// paper protocols (snooping, directory, multicast snooping); registered
-// custom *policies* are fully supported via PolicyName, registered
-// custom *engines* are not, because the timing model needs the message
-// semantics of the protocol, not just its accounting.
+// SimSpec mirrors EngineSpec: the same protocol names, the same ways to
+// pick a policy (a built-in PolicyName, Policy by value, an explicit
+// Predictor configuration, or a custom NewPredictor factory), the same
+// defaulting to the paper's standout predictor. The timing model
+// simulates the three paper protocols (snooping, directory, multicast
+// snooping): it needs the message semantics of a protocol, not just its
+// accounting.
 type SimSpec struct {
 	// Protocol is ProtocolSnooping, ProtocolDirectory or
 	// ProtocolMulticast. Empty selects ProtocolMulticast when a policy is
 	// configured and is an error otherwise.
 	Protocol string
-	// PolicyName is a registered prediction policy name ("owner",
-	// "group", a custom RegisterPolicy name, ...). Built-in names are
-	// matched case-insensitively.
+	// PolicyName is a built-in prediction policy name ("owner",
+	// "group", ...), matched case-insensitively, or the label of a
+	// NewPredictor policy.
 	PolicyName string
+	// NewPredictor, when set, builds each node's predictor instead of a
+	// built-in policy; PolicyName must label it. As for EngineSpec, specs
+	// carrying one neither serialize nor use a result store.
+	NewPredictor PolicyFactory `json:"-"`
 	// Policy selects a built-in policy by value; it is consulted only
 	// when PolicyName is empty and Predictor is nil.
 	Policy Policy
@@ -74,7 +77,7 @@ type SimSpec struct {
 	Label string
 }
 
-// simProtocol maps the registry protocol name onto the timing model's
+// simProtocol maps the protocol name onto the timing model's
 // protocol enum.
 func (s SimSpec) simProtocol() (sim.Protocol, error) {
 	name := s.Protocol
@@ -97,9 +100,12 @@ func (s SimSpec) simProtocol() (sim.Protocol, error) {
 	}
 }
 
-func (s SimSpec) hasPolicy() bool {
-	return s.PolicyName != "" || s.UsePolicy || s.Predictor != nil
+// policy returns the spec's policy selection.
+func (s SimSpec) policy() policySelection {
+	return policySelection{s.PolicyName, s.Policy, s.UsePolicy, s.Predictor, s.NewPredictor}
 }
+
+func (s SimSpec) hasPolicy() bool { return s.policy().set() }
 
 // DisplayLabel returns the label used for this spec in results and
 // observations.
@@ -114,16 +120,7 @@ func (s SimSpec) DisplayLabel() string {
 	if name == "" {
 		name = "sim"
 	}
-	switch {
-	case s.PolicyName != "":
-		return name + "+" + predictor.CanonicalName(s.PolicyName)
-	case s.UsePolicy:
-		return name + "+" + predictor.CanonicalName(s.Policy.String())
-	case s.Predictor != nil:
-		return name + "+" + predictor.CanonicalName(s.Predictor.Policy.String())
-	default:
-		return name
-	}
+	return name + s.policy().suffix()
 }
 
 // validate resolves the spec's names eagerly, so that a typo'd policy or
@@ -133,11 +130,8 @@ func (s SimSpec) validate() error {
 	if _, err := s.simProtocol(); err != nil {
 		return err
 	}
-	if s.PolicyName != "" {
-		if _, ok := predictor.LookupFactory(s.PolicyName); !ok {
-			return fmt.Errorf("destset: unknown policy %q (have %v)",
-				s.PolicyName, predictor.RegisteredPolicies())
-		}
+	if err := s.policy().validate(); err != nil {
+		return err
 	}
 	if s.LinkBytesPerNs < 0 || s.TraversalNs < 0 || s.L2LatencyNs < 0 || s.MemLatencyNs < 0 ||
 		s.MSHRs < 0 || s.ROBWindow < 0 || s.MaxAttempts < 0 {
@@ -174,28 +168,15 @@ func (s SimSpec) Resolve(nodes int) (SimConfig, error) {
 	// A multicast spec without an explicit policy keeps DefaultConfig's
 	// predictor (the paper's standout Group configuration).
 	if proto == sim.Multicast && s.hasPolicy() {
-		pc := predictor.DefaultConfig(s.Policy, nodes)
-		if s.Predictor != nil {
-			pc = *s.Predictor
-			if pc.Nodes == 0 {
-				pc.Nodes = nodes
-			}
+		pc, newBank, err := s.policy().bank(nodes)
+		if err != nil {
+			return SimConfig{}, err
 		}
 		cfg.Predictor = pc
+		// A named policy reaches the simulator as a bank constructor,
+		// labeled by its name.
 		if s.PolicyName != "" {
-			factory, ok := predictor.LookupFactory(s.PolicyName)
-			if !ok {
-				return SimConfig{}, fmt.Errorf("destset: unknown policy %q (have %v)",
-					s.PolicyName, predictor.RegisteredPolicies())
-			}
-			bankCfg := pc
-			cfg.NewBank = func() []predictor.Predictor {
-				bank := make([]predictor.Predictor, bankCfg.Nodes)
-				for i := range bank {
-					bank[i] = factory(bankCfg)
-				}
-				return bank
-			}
+			cfg.NewBank = newBank
 			cfg.Label = "Multicast+" + predictor.CanonicalName(s.PolicyName)
 		}
 	}

@@ -9,8 +9,7 @@ import (
 	"destset/internal/workload"
 )
 
-// Protocol engine names understood by EngineSpec.Protocol (additional
-// names become available through RegisterEngine).
+// Protocol engine names understood by EngineSpec.Protocol.
 const (
 	ProtocolSnooping            = protocol.SnoopingName
 	ProtocolDirectory           = protocol.DirectoryName
@@ -24,14 +23,19 @@ const (
 // Runner builds a fresh engine from the spec for every sweep cell, so
 // the same spec can appear in many concurrent runs.
 type EngineSpec struct {
-	// Protocol is a registered engine name (see ProtocolSnooping and
+	// Protocol is a built-in engine name (see ProtocolSnooping and
 	// friends). Empty selects ProtocolMulticast when a policy is
 	// configured and is an error otherwise.
 	Protocol string
-	// PolicyName is a registered prediction policy name ("owner",
-	// "group", a custom RegisterPolicy name, ...). Built-in names are
-	// matched case-insensitively.
+	// PolicyName is a built-in prediction policy name ("owner",
+	// "group", ...), matched case-insensitively, or the label of a
+	// NewPredictor policy.
 	PolicyName string
+	// NewPredictor, when set, builds each node's predictor instead of a
+	// built-in policy; PolicyName must label it. A factory is code, not
+	// data: specs carrying one do not serialize into a SweepDef and
+	// their cells are never served from or stored to a result store.
+	NewPredictor PolicyFactory `json:"-"`
 	// Policy selects a built-in policy by value; it is consulted only
 	// when PolicyName is empty and Predictor is nil.
 	Policy Policy
@@ -65,6 +69,93 @@ func SpecForPolicy(p Policy) EngineSpec {
 	}
 }
 
+// PolicyFactory builds one node's predictor from a configuration.
+// Custom factories may ignore the configuration's Policy field and use
+// only the capacity/indexing fields.
+type PolicyFactory func(cfg PredictorConfig) Predictor
+
+// policySelection is the policy choice EngineSpec and SimSpec share:
+// their PolicyName, Policy, UsePolicy, Predictor and NewPredictor fields.
+type policySelection struct {
+	name   string
+	policy Policy
+	use    bool
+	cfg    *PredictorConfig
+	custom PolicyFactory
+}
+
+func (p policySelection) set() bool {
+	return p.name != "" || p.use || p.cfg != nil || p.custom != nil
+}
+
+// suffix is the "+policy" part of a display label, empty when no policy
+// is selected.
+func (p policySelection) suffix() string {
+	switch {
+	case p.name != "":
+		return "+" + predictor.CanonicalName(p.name)
+	case p.use:
+		return "+" + predictor.CanonicalName(p.policy.String())
+	case p.cfg != nil:
+		return "+" + predictor.CanonicalName(p.cfg.Policy.String())
+	default:
+		return ""
+	}
+}
+
+func (p policySelection) validate() error {
+	if p.custom != nil {
+		if p.name == "" {
+			return fmt.Errorf("destset: a NewPredictor policy needs a PolicyName label")
+		}
+		return nil
+	}
+	if p.name != "" {
+		if _, ok := predictor.ByName(p.name); !ok {
+			return fmt.Errorf("destset: unknown policy %q (have %v)", p.name, predictor.Names())
+		}
+	}
+	return nil
+}
+
+// bank resolves the selection for a system of the given node count: the
+// predictor configuration and a constructor of fresh, untrained banks
+// (one predictor per node). An explicit Predictor config is used
+// verbatim aside from filling Nodes; otherwise the selected policy gets
+// the paper's standout configuration. A built-in PolicyName overrides
+// the configuration's policy; a NewPredictor factory receives the
+// configuration as is. The constructor is nil when no policy is
+// selected.
+func (p policySelection) bank(nodes int) (PredictorConfig, func() []predictor.Predictor, error) {
+	if !p.set() {
+		return PredictorConfig{}, nil, nil
+	}
+	cfg := predictor.DefaultConfig(p.policy, nodes)
+	if p.cfg != nil {
+		cfg = *p.cfg
+		if cfg.Nodes == 0 {
+			cfg.Nodes = nodes
+		}
+	}
+	if err := p.validate(); err != nil {
+		return cfg, nil, err
+	}
+	factory := p.custom
+	if factory == nil {
+		if p.name != "" {
+			cfg.Policy, _ = predictor.ByName(p.name)
+		}
+		factory = predictor.New
+	}
+	return cfg, func() []predictor.Predictor {
+		bank := make([]predictor.Predictor, cfg.Nodes)
+		for i := range bank {
+			bank[i] = factory(cfg)
+		}
+		return bank
+	}, nil
+}
+
 // protocolName resolves the engine name, defaulting predictor-equipped
 // specs to multicast snooping.
 func (s EngineSpec) protocolName() string {
@@ -77,9 +168,12 @@ func (s EngineSpec) protocolName() string {
 	return ""
 }
 
-func (s EngineSpec) hasPolicy() bool {
-	return s.PolicyName != "" || s.UsePolicy || s.Predictor != nil
+// policy returns the spec's policy selection.
+func (s EngineSpec) policy() policySelection {
+	return policySelection{s.PolicyName, s.Policy, s.UsePolicy, s.Predictor, s.NewPredictor}
 }
+
+func (s EngineSpec) hasPolicy() bool { return s.policy().set() }
 
 // DisplayLabel returns the label used for this spec in results and
 // observations.
@@ -91,16 +185,7 @@ func (s EngineSpec) DisplayLabel() string {
 	if name == "" {
 		name = "engine"
 	}
-	switch {
-	case s.PolicyName != "":
-		return name + "+" + predictor.CanonicalName(s.PolicyName)
-	case s.UsePolicy:
-		return name + "+" + predictor.CanonicalName(s.Policy.String())
-	case s.Predictor != nil:
-		return name + "+" + predictor.CanonicalName(s.Predictor.Policy.String())
-	default:
-		return name
-	}
+	return name + s.policy().suffix()
 }
 
 // validate resolves the spec's names eagerly, so that a typo'd policy
@@ -114,45 +199,7 @@ func (s EngineSpec) validate() error {
 	if !protocol.HasEngine(name) {
 		return fmt.Errorf("destset: unknown engine %q (have %v)", name, protocol.EngineNames())
 	}
-	if s.PolicyName != "" {
-		if _, ok := predictor.LookupFactory(s.PolicyName); !ok {
-			return fmt.Errorf("destset: unknown policy %q (have %v)",
-				s.PolicyName, predictor.RegisteredPolicies())
-		}
-	}
-	return nil
-}
-
-// bankFactory resolves the spec's predictor policy into a bank factory,
-// or nil when no policy is configured. An explicit Predictor config is
-// used verbatim (aside from filling Nodes); otherwise the Policy /
-// PolicyName selection gets the paper's standout configuration.
-func (s EngineSpec) bankFactory(nodes int) (func() []predictor.Predictor, error) {
-	if !s.hasPolicy() {
-		return nil, nil
-	}
-	cfg := predictor.DefaultConfig(s.Policy, nodes)
-	if s.Predictor != nil {
-		cfg = *s.Predictor
-		if cfg.Nodes == 0 {
-			cfg.Nodes = nodes
-		}
-	}
-	if s.PolicyName != "" {
-		factory, ok := predictor.LookupFactory(s.PolicyName)
-		if !ok {
-			return nil, fmt.Errorf("destset: unknown policy %q (have %v)",
-				s.PolicyName, predictor.RegisteredPolicies())
-		}
-		return func() []predictor.Predictor {
-			bank := make([]predictor.Predictor, cfg.Nodes)
-			for i := range bank {
-				bank[i] = factory(cfg)
-			}
-			return bank
-		}, nil
-	}
-	return func() []predictor.Predictor { return predictor.NewBank(cfg) }, nil
+	return s.policy().validate()
 }
 
 // NewEngine builds one fresh engine from the spec for a system of the
@@ -169,7 +216,7 @@ func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
 	if name == "" {
 		return nil, fmt.Errorf("destset: engine spec needs a protocol or a policy")
 	}
-	newBank, err := s.bankFactory(nodes)
+	_, newBank, err := s.policy().bank(nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +241,9 @@ type Stream = sweep.Stream
 // WorkloadSpec is a value description of one workload and its
 // measurement scale. Exactly one of three sources applies, in priority
 // order: Open (a custom stream source), Params (explicit parameters),
-// or Name (a registered preset).
+// or Name (a built-in preset, see Workloads).
 type WorkloadSpec struct {
-	// Name is a registered workload preset name; it also labels the
+	// Name is a built-in workload preset name; it also labels the
 	// workload in results when Params or Open is used.
 	Name string
 	// Params overrides the preset lookup with explicit parameters. The

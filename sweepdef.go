@@ -23,9 +23,10 @@ import (
 // the cell index space from it, and the plan fingerprint is the
 // handshake that proves they agree.
 //
-// Only value-described workloads serialize: a WorkloadSpec with a custom
-// Open stream source refuses to marshal, since a function cannot cross a
-// process boundary.
+// Only value-described specs serialize: a WorkloadSpec with a custom
+// Open stream source refuses to marshal, and Validate refuses an engine
+// or sim spec with a NewPredictor factory, since a function cannot cross
+// a process boundary.
 
 // SweepDef is a serializable sweep definition of either kind. Exactly
 // one of Engines (PlanKindTrace) or Sims (PlanKindTiming) applies,
@@ -89,7 +90,7 @@ func NewTimingSweepDef(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerO
 }
 
 // Validate checks the definition is complete, serializable and names
-// only registered protocols, policies and workloads — everything a
+// only built-in protocols, policies and workloads — everything a
 // worker needs to verify before executing cells from it.
 func (d SweepDef) Validate() error {
 	_, err := d.kind()
@@ -120,6 +121,9 @@ func (d SweepDef) kind() (sweepKind, error) {
 		return nil, fmt.Errorf("destset: sweep def kind %q (want %q or %q)", d.Kind, PlanKindTrace, PlanKindTiming)
 	}
 	for s := 0; s < k.specs(); s++ {
+		if k.custom(s) {
+			return nil, fmt.Errorf("destset: spec %q uses a custom NewPredictor policy and cannot be serialized", k.label(s))
+		}
 		if err := k.validate(s); err != nil {
 			return nil, err
 		}

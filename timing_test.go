@@ -237,9 +237,8 @@ func TestSimSpecResolveOverrides(t *testing.T) {
 	}
 }
 
-// TestTimingRunnerRegisteredPolicyName: the registry path (PolicyName)
-// reaches the timing model and reproduces the by-value policy's results
-// exactly, for built-in names.
+// TestTimingRunnerRegisteredPolicyName: a built-in PolicyName reaches
+// the timing model and reproduces the by-value policy's results exactly.
 func TestTimingRunnerRegisteredPolicyName(t *testing.T) {
 	wl := []destset.WorkloadSpec{{Name: "barnes-hut", Warm: 4_000, Measure: 4_000}}
 	byValue, err := destset.EvaluateTiming(context.Background(),

@@ -115,6 +115,7 @@ func (k timingKind) specs() int               { return len(k.sims) }
 func (k timingKind) label(s int) string       { return k.sims[s].DisplayLabel() }
 func (k timingKind) fingerprint(s int) string { return fingerprintSimSpec(k.sims[s]) }
 func (k timingKind) validate(s int) error     { return k.sims[s].validate() }
+func (k timingKind) custom(s int) bool        { return k.sims[s].NewPredictor != nil }
 func (k timingKind) coords(res TimingResult) (string, string, uint64) {
 	return res.Sim, res.Workload, res.Seed
 }
