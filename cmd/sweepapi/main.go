@@ -14,12 +14,15 @@
 //	GET /v1/figure?fig=5|7|8[&warm=N][&misses=N][&seed=S]
 //	              [&workloads=a,b][&protocols=x,y]
 //	    Maps the figure request onto the same SweepDef the CLIs build
-//	    (cmd/traceeval -fig5, cmd/timing -fig7/-fig8 — identical plan
-//	    fingerprints), runs it through an embedded runner attached to
-//	    the result store, and streams the manifest-headed, plan-ordered
-//	    JSONL observation file — byte-identical to the CLI's -json
-//	    output, whatever mix of cached and computed cells produced it. Cells already in the store are served
-//	    without computing; repeated queries cost zero simulations.
+//	    (experiments.FigureDef, as behind cmd/traceeval -fig5 and
+//	    cmd/timing -fig7/-fig8 — identical plan fingerprints; protocols
+//	    filters Figures 7/8 only, and fig=5 with it answers 400), runs
+//	    it through an embedded runner attached to the result store,
+//	    and streams the manifest-headed, plan-ordered JSONL observation
+//	    file — byte-identical to the CLI's -json output, whatever mix of
+//	    cached and computed cells produced it. Cells already in the
+//	    store are served without computing; repeated queries cost zero
+//	    simulations.
 //	    X-Cached-Cells / X-Computed-Cells report the split.
 //	    Concurrent identical queries (same plan fingerprint) are
 //	    deduplicated by a singleflight: one runs, the rest share its
@@ -175,10 +178,10 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// figureDef maps a figure query onto the exact SweepDef the CLIs build
-// from the same flags, so the plan fingerprint — and therefore the
-// result-store address space — is shared with cmd/traceeval -fig5 and
-// cmd/timing -fig7/-fig8 runs.
+// figureDef maps a figure query onto its SweepDef through the same
+// experiments.FigureDef the CLIs use for the same flags, so the plan
+// fingerprint — and therefore the result-store address space — is
+// shared with cmd/traceeval -fig5 and cmd/timing -fig7/-fig8 runs.
 func figureDef(q map[string]string) (destset.SweepDef, error) {
 	opt := experiments.DefaultOptions()
 	if v := q["seed"]; v != "" {
@@ -194,39 +197,19 @@ func figureDef(q map[string]string) (destset.SweepDef, error) {
 	if v := q["protocols"]; v != "" {
 		opt.Protocols = strings.Split(v, ",")
 	}
-	warm, misses := 0, 0
-	for name, dst := range map[string]*int{"warm": &warm, "misses": &misses} {
+	fig, err := strconv.Atoi(q["fig"])
+	if err != nil {
+		return destset.SweepDef{}, fmt.Errorf("fig must be 5, 7 or 8 (got %q)", q["fig"])
+	}
+	scale := map[string]int{}
+	for _, name := range []string{"warm", "misses"} {
 		if v := q[name]; v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
+			if scale[name], err = strconv.Atoi(v); err != nil {
 				return destset.SweepDef{}, fmt.Errorf("bad %s %q", name, v)
 			}
-			*dst = n
 		}
 	}
-	switch q["fig"] {
-	case "5":
-		if warm != 0 {
-			opt.WarmMisses = warm
-		}
-		if misses != 0 {
-			opt.Misses = misses
-		}
-		return experiments.TradeoffSweepDef(opt)
-	case "7", "8":
-		if warm != 0 {
-			opt.TimedWarmMisses = warm
-		}
-		if misses != 0 {
-			opt.TimedMisses = misses
-		}
-		model := destset.SimpleCPU
-		if q["fig"] == "8" {
-			model = destset.DetailedCPU
-		}
-		return experiments.TimingSweepDef(opt, model)
-	}
-	return destset.SweepDef{}, fmt.Errorf("fig must be 5, 7 or 8 (got %q)", q["fig"])
+	return experiments.FigureDef(opt, fig, scale["warm"], scale["misses"])
 }
 
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -302,15 +285,9 @@ func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figu
 		}
 	}
 	var body bytes.Buffer
-	sink := destset.NewJSONLObserver(&body)
-	if err := sink.WriteManifest(plan.Manifest(0, 1)); err != nil {
-		return nil, err
-	}
-	err := def.RunJSONL(s.ctx, sink, destset.WithResultStore(s.rs), destset.WithParallelism(s.parallel))
+	err := experiments.StreamJSONL(s.ctx, def, destset.NewJSONLObserver(&body), 0, 0,
+		destset.WithResultStore(s.rs), destset.WithParallelism(s.parallel))
 	if err != nil {
-		return nil, err
-	}
-	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
 	return &figureReply{

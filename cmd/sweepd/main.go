@@ -18,8 +18,10 @@
 // or timing kind) or from one figure flag mirroring the local CLIs:
 // -fig5 is cmd/traceeval's Figure 5 trace sweep, -fig7/-fig8 are
 // cmd/timing's timing sweeps — with the same -warm/-misses/-seed/
-// -workloads/-protocols flags, so the coordinator's plan fingerprint
-// matches the local run's and outputs diff byte-identical.
+// -workloads/-protocols flags, mapped by the same experiments.FigureDef,
+// so the coordinator's plan fingerprint matches the local run's and
+// outputs diff byte-identical. -protocols filters Figures 7/8 only;
+// -fig5 refuses it.
 //
 // -result-dir attaches a persistent result store: cells the store can
 // already serve are pre-marked complete and never leased — a restarted
@@ -243,26 +245,13 @@ func loadDef(defPath string, fig5, fig7, fig8 bool, warm, misses int, seed uint6
 	if protocols != "" {
 		opt.Protocols = strings.Split(protocols, ",")
 	}
-	if fig5 {
-		if warm != 0 {
-			opt.WarmMisses = warm
-		}
-		if misses != 0 {
-			opt.Misses = misses
-		}
-		return experiments.TradeoffSweepDef(opt)
+	fig := 5
+	if fig7 {
+		fig = 7
+	} else if fig8 {
+		fig = 8
 	}
-	if warm != 0 {
-		opt.TimedWarmMisses = warm
-	}
-	if misses != 0 {
-		opt.TimedMisses = misses
-	}
-	model := destset.SimpleCPU
-	if fig8 {
-		model = destset.DetailedCPU
-	}
-	return experiments.TimingSweepDef(opt, model)
+	return experiments.FigureDef(opt, fig, warm, misses)
 }
 
 // writeMerged writes the merged observation stream: atomically

@@ -181,23 +181,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		model := destset.SimpleCPU
+		fig := 7
 		if wantFig8 {
-			model = destset.DetailedCPU
+			fig = 8
 		}
-		plan, err := experiments.TimingSweepPlan(opt, model)
+		def, err := experiments.FigureDef(opt, fig, *warm, *misses)
 		if err != nil {
 			fail(err)
 		}
-		if err := sink.WriteManifest(plan.Manifest(shard, shards)); err != nil {
+		if err := experiments.StreamJSONL(ctx, def, sink, shard, shards, destset.WithParallelism(opt.Parallelism)); err != nil {
 			fail(err)
-		}
-		if _, err := experiments.TimingSweep(ctx, opt, model, shard, shards); err != nil {
-			fail(err)
-		}
-		if err := sink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "timing:", err)
-			os.Exit(1)
 		}
 		reportResults()
 		return

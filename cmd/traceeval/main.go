@@ -33,7 +33,8 @@
 // stderr reports how many cells were served vs computed.
 //
 // -dataset (repeatable) adds a pre-built dataset file — typically
-// tracegen -import output — to the Figure 5 sweep as an extra workload.
+// tracegen -import output — to the Figure 5 sweep as an extra workload,
+// with its own table panel and its own cells in the -json stream.
 // It requires -dataset-dir: the file is installed there under its
 // content address, which is how every sweep cell (and every shard or
 // distributed worker sharing the directory) resolves it.
@@ -149,19 +150,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		plan, err := experiments.TradeoffSweepPlan(opt)
+		def, err := experiments.FigureDef(opt, 5, *warm, *misses)
 		if err != nil {
 			fail(err)
 		}
-		if err := sink.WriteManifest(plan.Manifest(shard, shards)); err != nil {
+		if err := experiments.StreamJSONL(ctx, def, sink, shard, shards, destset.WithParallelism(opt.Parallelism)); err != nil {
 			fail(err)
-		}
-		if _, err := experiments.TradeoffSweep(ctx, opt, shard, shards); err != nil {
-			fail(err)
-		}
-		if err := sink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "traceeval:", err)
-			os.Exit(1)
 		}
 		reportResults()
 		return

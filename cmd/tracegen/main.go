@@ -48,6 +48,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 
 	"destset"
 	"destset/internal/atomicfile"
@@ -239,30 +240,31 @@ func exportDataset(ctx context.Context, in, format, out string) error {
 // printSource reports where the dataset's records came from: the
 // workload's source kind and, for composed kinds, the composition
 // structure.
-func printSource(p workload.Params) {
+func printSource(w io.Writer, p workload.Params) {
 	switch p.Kind() {
 	case workload.KindImported:
-		fmt.Printf("source: imported %s trace %q, %d records, sha256 %s…\n",
+		fmt.Fprintf(w, "source: imported %s trace %q, %d records, sha256 %s…\n",
 			p.Import.Format, p.Name, p.Import.Records, p.Import.SHA256[:16])
 	case workload.KindPhased:
-		fmt.Printf("source: phased workload %q, %d phases per cycle:\n", p.Name, len(p.Phases))
+		fmt.Fprintf(w, "source: phased workload %q, %d phases per cycle:\n", p.Name, len(p.Phases))
 		for i, ph := range p.Phases {
-			fmt.Printf("  phase %d: %q, %d misses\n", i, ph.Params.Name, ph.Misses)
+			fmt.Fprintf(w, "  phase %d: %q, %d misses\n", i, ph.Params.Name, ph.Misses)
 		}
 	case workload.KindTenantMix:
-		fmt.Printf("source: tenant-mix workload %q, %d interleaved tenants of %q\n",
+		fmt.Fprintf(w, "source: tenant-mix workload %q, %d interleaved tenants of %q\n",
 			p.Name, len(p.Tenants), p.Tenants[0].Name)
 	default:
-		fmt.Printf("source: generated workload %q, seed %d\n", p.Name, p.Seed)
+		fmt.Fprintf(w, "source: generated workload %q, seed %d\n", p.Name, p.Seed)
 	}
 	if p.Regulate.Enabled() {
-		fmt.Printf("regulation: adaptive bandwidth target %.0f bytes/1k instructions (mu %g, max throttle %gx)\n",
+		fmt.Fprintf(w, "regulation: adaptive bandwidth target %.0f bytes/1k instructions (mu %g, max throttle %gx)\n",
 			p.Regulate.TargetBytesPer1K, p.Regulate.Mu, p.Regulate.MaxThrottle)
 	}
 }
 
 // summary reports a columnar dataset file's source, per-node miss counts
-// and annotation coverage.
+// and annotation coverage. The report goes to stdout in one write, so a
+// reader that stops early (grep -q) cannot make a later write fail.
 func summary(path string) error {
 	ds, err := dataset.ReadFile(path)
 	if err != nil {
@@ -282,18 +284,20 @@ func summary(path string) error {
 			annotated++
 		}
 	}
-	printSource(ds.Params())
+	w := new(strings.Builder)
+	printSource(w, ds.Params())
 	n := uint64(ds.Len())
 	if n == 0 {
-		fmt.Printf("trace: %d nodes, 0 misses\n", nodes)
+		fmt.Fprintf(w, "trace: %d nodes, 0 misses\n", nodes)
 	} else {
-		fmt.Printf("trace: %d nodes, %d misses, %.1f%% reads, %.2f misses/1k instructions\n",
+		fmt.Fprintf(w, "trace: %d nodes, %d misses, %.1f%% reads, %.2f misses/1k instructions\n",
 			nodes, n, 100*float64(reads)/float64(n), 1000*float64(n)/float64(instr))
 		for i, c := range perNode {
-			fmt.Printf("  node %2d: %d misses\n", i, c)
+			fmt.Fprintf(w, "  node %2d: %d misses\n", i, c)
 		}
 	}
-	fmt.Printf("dataset: %d warm + %d measured, %.1f%% of misses had sharers, %d touched-block stats\n",
+	fmt.Fprintf(w, "dataset: %d warm + %d measured, %.1f%% of misses had sharers, %d touched-block stats\n",
 		ds.Warm(), ds.Measure(), 100*float64(annotated)/float64(n), len(ds.BlockStats()))
-	return nil
+	_, err = os.Stdout.WriteString(w.String())
+	return err
 }

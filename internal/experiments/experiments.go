@@ -48,10 +48,11 @@ type Options struct {
 	// Workloads restricts the benchmark set (default: the paper's six).
 	Workloads []string
 	// ExtraWorkloads appends value-described workload specs — imported
-	// trace datasets or composed parameter sets — to the sweep paths
-	// (TradeoffSweep/TimingSweep, their defs and plans). Each spec is
+	// trace datasets or composed parameter sets — to the Figure 5/7/8
+	// sweeps (TradeoffSweepDef/TimingSweepDef, and so Figure5, Figure7
+	// and Figure8, which each get one panel per extra). Each spec is
 	// used verbatim: its Warm/Measure must match the dataset it names.
-	// Figure-panel assembly (Figure2..Figure8 and Table 2) ignores them.
+	// Table 2, Figures 2-4 and 6 and the extensions ignore them.
 	ExtraWorkloads []destset.WorkloadSpec
 	// Protocols restricts the execution-driven protocol configurations
 	// (§5), matched against SimSpec display labels: "snooping",
@@ -96,11 +97,16 @@ func QuickOptions() Options {
 	}
 }
 
-func (o Options) workloads() ([]workload.Params, error) {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = workload.PaperNames()
+// names is the selected workload list (default: the paper's six).
+func (o Options) names() []string {
+	if len(o.Workloads) > 0 {
+		return o.Workloads
 	}
+	return workload.PaperNames()
+}
+
+func (o Options) workloads() ([]workload.Params, error) {
+	names := o.names()
 	out := make([]workload.Params, 0, len(names))
 	for _, n := range names {
 		p, err := workload.Preset(n, o.Seed)
@@ -114,7 +120,8 @@ func (o Options) workloads() ([]workload.Params, error) {
 
 // Dataset is one workload's generated, annotated trace, backed by the
 // process-wide columnar dataset store: generated once per (workload,
-// seed, scale), replayed by every figure and sweep cell that needs it.
+// seed, scale), read by the characterization harnesses and replayed by
+// every sweep cell that names the same workload.
 type Dataset struct {
 	Params workload.Params
 	// Data is the shared columnar recording: warm region, measured
@@ -155,18 +162,6 @@ func (o Options) datasets() ([]*Dataset, error) {
 	return out, nil
 }
 
-// extraLabel names an extra workload spec for sweep panels — the same
-// derivation destset uses for result labels.
-func extraLabel(w destset.WorkloadSpec) string {
-	if w.Name != "" {
-		return w.Name
-	}
-	if w.Params != nil && w.Params.Name != "" {
-		return w.Params.Name
-	}
-	return "workload"
-}
-
 // explicitScale marks a zero miss count as "explicitly none" for
 // WorkloadSpec, whose 0 means "inherit the runner default".
 func explicitScale(n int) int {
@@ -174,22 +169,6 @@ func explicitScale(n int) int {
 		return -1
 	}
 	return n
-}
-
-// ReplaySpec adapts the dataset for the public Runner: the sweep replays
-// the already-generated warm and measured regions through zero-copy
-// cursors instead of regenerating them, which keeps every engine's
-// comparison like-for-like on the identical trace.
-func (d *Dataset) ReplaySpec() destset.WorkloadSpec {
-	return destset.WorkloadSpec{
-		Name:    d.Params.Name,
-		Nodes:   d.Params.Nodes,
-		Warm:    explicitScale(d.Data.Warm()),
-		Measure: explicitScale(d.Data.Measure()),
-		Open: func(uint64) (destset.Stream, error) {
-			return d.Data.Replay(), nil
-		},
-	}
 }
 
 // baselineSpecs returns the two protocol extremes every figure anchors
@@ -218,41 +197,69 @@ func standoutSpecs() []destset.EngineSpec {
 	return specs
 }
 
-// runTradeoff sweeps the engine specs over the datasets through the
-// public Runner and converts each cell into a tradeoff point, grouped
-// per dataset in spec order.
-func runTradeoff(opt Options, datasets []*Dataset, specs []destset.EngineSpec) ([][]TradeoffPoint, error) {
-	workloads := make([]destset.WorkloadSpec, len(datasets))
-	for i, d := range datasets {
-		workloads[i] = d.ReplaySpec()
+// namedWorkloads describes each named workload at an explicit scale —
+// the value-described specs every sweep here runs, which resolve
+// through the shared dataset store and the result store alike.
+func namedWorkloads(names []string, warm, measure int) []destset.WorkloadSpec {
+	out := make([]destset.WorkloadSpec, len(names))
+	for i, n := range names {
+		out[i] = destset.WorkloadSpec{Name: n, Warm: explicitScale(warm), Measure: explicitScale(measure)}
 	}
-	opts := []destset.RunnerOption{
-		destset.WithSeeds(opt.Seed),
-		destset.WithParallelism(opt.Parallelism),
+	return out
+}
+
+// traceWorkloads names workloads at the trace-driven scale.
+func (o Options) traceWorkloads(names ...string) []destset.WorkloadSpec {
+	return namedWorkloads(names, o.WarmMisses, o.Misses)
+}
+
+// runnerOptions are the process-local runner options every harness
+// shares: the parallelism cap and the option set's observers.
+func (o Options) runnerOptions() []destset.RunnerOption {
+	opts := []destset.RunnerOption{destset.WithParallelism(o.Parallelism)}
+	if o.Observer != nil {
+		opts = append(opts, destset.WithObserver(o.Observer))
 	}
-	if opt.Observer != nil {
-		opts = append(opts, destset.WithObserver(opt.Observer))
+	if o.TimingObserver != nil {
+		opts = append(opts, destset.WithTimingObserver(o.TimingObserver))
 	}
-	res, err := destset.NewRunner(specs, workloads, opts...).Run(context.Background())
+	return opts
+}
+
+// runTradeoff sweeps the engine specs over the named workloads and
+// folds the cells into one panel per workload, in spec order.
+func (o Options) runTradeoff(specs []destset.EngineSpec, workloads []destset.WorkloadSpec) ([]WorkloadTradeoff, error) {
+	return o.tradeoffPanels(destset.NewTraceSweepDef(specs, workloads, destset.WithSeeds(o.Seed)))
+}
+
+// tradeoffPanels runs a single-seed trace sweep def and folds its
+// workload-major cells into one panel per workload.
+func (o Options) tradeoffPanels(def destset.SweepDef) ([]WorkloadTradeoff, error) {
+	runner, err := def.Runner(o.runnerOptions()...)
 	if err != nil {
 		return nil, err
 	}
-	if len(res) != len(specs)*len(datasets) {
-		return nil, fmt.Errorf("experiments: sweep returned %d cells, want %d", len(res), len(specs)*len(datasets))
+	res, err := runner.Run(context.Background())
+	if err != nil {
+		return nil, err
 	}
-	out := make([][]TradeoffPoint, len(datasets))
-	for wi := range datasets {
-		pts := make([]TradeoffPoint, len(specs))
-		for ei := range specs {
-			r := res[wi*len(specs)+ei]
-			pts[ei] = TradeoffPoint{
+	n := len(def.Engines)
+	if len(res) != n*len(def.Workloads) {
+		return nil, fmt.Errorf("experiments: sweep returned %d cells, want %d", len(res), n*len(def.Workloads))
+	}
+	out := make([]WorkloadTradeoff, len(def.Workloads))
+	for wi := range out {
+		cells := res[wi*n : (wi+1)*n]
+		pts := make([]TradeoffPoint, n)
+		for i, r := range cells {
+			pts[i] = TradeoffPoint{
 				Config:         r.Tradeoff.Config,
 				MsgsPerMiss:    r.Tradeoff.RequestMsgsPerMiss,
 				IndirectionPct: r.Tradeoff.IndirectionPercent,
 				BytesPerMiss:   r.Tradeoff.BytesPerMiss,
 			}
 		}
-		out[wi] = pts
+		out[wi] = WorkloadTradeoff{Workload: cells[0].Workload, Points: pts}
 	}
 	return out, nil
 }

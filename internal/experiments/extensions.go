@@ -49,17 +49,9 @@ func BandwidthSweep(ctx context.Context, opt Options, bandwidthsBytesPerNs []flo
 		{Protocol: destset.ProtocolDirectory},
 		{Protocol: destset.ProtocolMulticast, Policy: predictor.Group, UsePolicy: true},
 	}
-	if len(opt.Protocols) > 0 {
-		kept := base[:0]
-		for _, s := range base {
-			if matchesProtocol(s, opt.Protocols) {
-				kept = append(kept, s)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("experiments: no bandwidth-sweep configuration matches protocols %v", opt.Protocols)
-		}
-		base = kept
+	base, err := opt.selectProtocols(base, "bandwidth-sweep")
+	if err != nil {
+		return nil, err
 	}
 	var specs []destset.SimSpec
 	var bws []float64
@@ -70,9 +62,8 @@ func BandwidthSweep(ctx context.Context, opt Options, bandwidthsBytesPerNs []flo
 			bws = append(bws, bw)
 		}
 	}
-	runner := destset.NewTimingRunner(specs,
-		[]destset.WorkloadSpec{opt.timingWorkloadSpec(name)},
-		opt.timingRunnerOptions()...)
+	runner := destset.NewTimingRunner(specs, opt.timedWorkloads(name),
+		append(opt.runnerOptions(), destset.WithSeeds(opt.Seed))...)
 	res, err := runner.Run(ctx)
 	if err != nil {
 		return nil, err
@@ -101,10 +92,6 @@ func HybridComparison(opt Options) ([]WorkloadTradeoff, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	datasets, err := opt.datasets()
-	if err != nil {
-		return nil, err
-	}
 	specs := append(baselineSpecs(),
 		destset.EngineSpec{
 			Protocol: destset.ProtocolPredictiveDirectory,
@@ -115,15 +102,7 @@ func HybridComparison(opt Options) ([]WorkloadTradeoff, error) {
 			Policy:   predictor.Owner, UsePolicy: true,
 		},
 	)
-	panels, err := runTradeoff(opt, datasets, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkloadTradeoff, len(datasets))
-	for i, d := range datasets {
-		out[i] = WorkloadTradeoff{Workload: d.Params.Name, Points: panels[i]}
-	}
-	return out, nil
+	return opt.runTradeoff(specs, opt.traceWorkloads(opt.names()...))
 }
 
 // OracleLimit reports the perfect-prediction bound next to the best
@@ -133,24 +112,12 @@ func OracleLimit(opt Options) ([]WorkloadTradeoff, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	datasets, err := opt.datasets()
-	if err != nil {
-		return nil, err
-	}
 	specs := []destset.EngineSpec{
 		predictorSpec(predictor.Config{Policy: predictor.Oracle}),
 		{Policy: predictor.OwnerGroup, UsePolicy: true},
 		{Policy: predictor.Group, UsePolicy: true},
 	}
-	panels, err := runTradeoff(opt, datasets, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkloadTradeoff, len(datasets))
-	for i, d := range datasets {
-		out[i] = WorkloadTradeoff{Workload: d.Params.Name, Points: panels[i]}
-	}
-	return out, nil
+	return opt.runTradeoff(specs, opt.traceWorkloads(opt.names()...))
 }
 
 // AblationRollover sweeps the Group policy's rollover (training-down)

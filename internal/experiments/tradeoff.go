@@ -24,36 +24,14 @@ type WorkloadTradeoff struct {
 
 // Figure5 reproduces the standout predictor comparison: snooping,
 // directory and the four policies at 8192 entries with 1024-byte
-// macroblock indexing, for every workload (§4.3). All cells fan out
-// through the public Runner.
+// macroblock indexing, for every workload (§4.3) plus one panel per
+// extra workload. It runs TradeoffSweepDef.
 func Figure5(opt Options) ([]WorkloadTradeoff, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	datasets, err := opt.datasets()
+	def, err := TradeoffSweepDef(opt)
 	if err != nil {
 		return nil, err
 	}
-	specs := append(baselineSpecs(), standoutSpecs()...)
-	panels, err := runTradeoff(opt, datasets, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkloadTradeoff, len(datasets))
-	for i, d := range datasets {
-		out[i] = WorkloadTradeoff{Workload: d.Params.Name, Points: panels[i]}
-	}
-	return out, nil
-}
-
-// sensitivityWorkload returns the Figure 6 dataset (OLTP in the paper).
-func sensitivityWorkload(opt Options) (*Dataset, error) {
-	opt.Workloads = []string{"oltp"}
-	datasets, err := opt.datasets()
-	if err != nil {
-		return nil, err
-	}
-	return datasets[0], nil
+	return opt.tradeoffPanels(def)
 }
 
 // policies under sensitivity study, in the paper's legend order.
@@ -71,17 +49,14 @@ func predictorSpec(cfg predictor.Config) destset.EngineSpec {
 	return destset.EngineSpec{Predictor: &c}
 }
 
-// sensitivityPoints sweeps the specs over the OLTP sensitivity dataset.
+// sensitivityPoints sweeps the specs over the Figure 6 workload (OLTP
+// in the paper).
 func sensitivityPoints(opt Options, specs []destset.EngineSpec) ([]TradeoffPoint, error) {
-	d, err := sensitivityWorkload(opt)
+	panels, err := opt.runTradeoff(specs, opt.traceWorkloads("oltp"))
 	if err != nil {
 		return nil, err
 	}
-	panels, err := runTradeoff(opt, []*Dataset{d}, specs)
-	if err != nil {
-		return nil, err
-	}
-	return panels[0], nil
+	return panels[0].Points, nil
 }
 
 // Figure6a compares data-block (64B) and PC indexing with unbounded

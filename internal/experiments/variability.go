@@ -58,7 +58,7 @@ func Figure7Variability(ctx context.Context, opt Options, workloadName string, r
 	if runs < 1 {
 		runs = 1
 	}
-	specs, err := opt.timingSpecs(destset.SimpleCPU)
+	specs, err := opt.selectProtocols(TimingSpecs(destset.SimpleCPU), "timing")
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +66,8 @@ func Figure7Variability(ctx context.Context, opt Options, workloadName string, r
 	for r := range seeds {
 		seeds[r] = opt.Seed + uint64(r)
 	}
-	runner := destset.NewTimingRunner(specs,
-		[]destset.WorkloadSpec{opt.timingWorkloadSpec(workloadName)},
-		opt.timingRunnerOptions(seeds...)...)
+	runner := destset.NewTimingRunner(specs, opt.timedWorkloads(workloadName),
+		append(opt.runnerOptions(), destset.WithSeeds(seeds...))...)
 	res, err := runner.Run(ctx)
 	if err != nil {
 		return nil, err

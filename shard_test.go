@@ -324,26 +324,36 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestTimingSweepMatchesFigure7 ties the sharded entry point to the
-// figure harness: merging every shard of experiments.TimingSweep yields
-// exactly the cells Figure 7's own runner computes.
+// figure harness: merging every shard of experiments.TimingSweepDef
+// yields exactly the cells of the unsharded def, and those are the
+// points Figure 7's panels report.
 func TestTimingSweepMatchesFigure7(t *testing.T) {
 	opt := experiments.QuickOptions()
 	opt.Workloads = []string{"oltp"}
 	opt.TimedWarmMisses, opt.TimedMisses = 1000, 1000
 
-	full, err := experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, 0, 0)
+	def, err := experiments.TimingSweepDef(opt, destset.SimpleCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parts [][]destset.TimingResult
-	for s := 0; s < 2; s++ {
-		res, err := experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, s, 2)
+	run := func(extra ...destset.RunnerOption) []destset.TimingResult {
+		t.Helper()
+		runner, err := def.TimingRunner(extra...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, res)
+		res, err := runner.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	plan, err := experiments.TimingSweepPlan(opt, destset.SimpleCPU)
+	full := run()
+	var parts [][]destset.TimingResult
+	for s := 0; s < 2; s++ {
+		parts = append(parts, run(destset.WithShard(s, 2)))
+	}
+	plan, err := def.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +371,27 @@ func TestTimingSweepMatchesFigure7(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(mustJSON(t, merged), mustJSON(t, full)) {
-		t.Error("sharded TimingSweep union differs from the full sweep")
+		t.Error("sharded TimingSweepDef union differs from the full sweep")
 	}
 	for i, c := range plan.Cells() {
 		if full[i].Sim != c.Engine || full[i].Workload != c.Workload || full[i].Seed != c.Seed {
 			t.Fatalf("cell %d: result (%s,%s,%d) vs plan (%s,%s,%d)",
 				i, full[i].Sim, full[i].Workload, full[i].Seed, c.Engine, c.Workload, c.Seed)
+		}
+	}
+
+	panels, err := experiments.Figure7(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(panels) != 1 || len(panels[0].Points) != len(merged) {
+		t.Fatalf("Figure 7 has %d panels, want 1 with %d points", len(panels), len(merged))
+	}
+	for i, pt := range panels[0].Points {
+		r := merged[i]
+		if pt.Config != r.Config || pt.RuntimeNs != r.Result.RuntimeNs || pt.BytesPerMiss != r.Result.BytesPerMiss() {
+			t.Errorf("point %d: Figure 7 (%s, %g ns, %g B/miss) vs merged shards (%s, %g ns, %g B/miss)",
+				i, pt.Config, pt.RuntimeNs, pt.BytesPerMiss, r.Config, r.Result.RuntimeNs, r.Result.BytesPerMiss())
 		}
 	}
 }
