@@ -6,6 +6,9 @@
 // keeps one Cache per node; evictions reported by Insert drive the
 // protocol-visible downgrades (writebacks of owned blocks, silent drops of
 // shared blocks).
+//
+// A cache is one flat array of 16-byte lines, set s occupying ways
+// [s*Ways, (s+1)*Ways): a paper L2 is 1 MB of lines and nothing else.
 package cache
 
 import (
@@ -87,18 +90,30 @@ type Eviction struct {
 	State State
 }
 
-// line is one cache way. lru is a per-set timestamp: higher = more recent.
+// line is one cache way. meta packs the LRU stamp (the cache clock at
+// the last use: higher = more recent) above the State in the low byte.
 type line struct {
-	addr  trace.Addr
-	state State
-	lru   uint64
+	addr trace.Addr
+	meta uint64
 }
+
+const stateBits = 8
+
+func (l *line) state() State { return State(l.meta) }
+
+// stamp is the line's LRU timestamp.
+func (l *line) stamp() uint64 { return l.meta >> stateBits }
+
+func (l *line) setState(s State) { l.meta = l.meta&^(1<<stateBits-1) | uint64(s) }
+
+// use fills the line with state s, stamped at clock.
+func (l *line) use(clock uint64, s State) { l.meta = clock<<stateBits | uint64(s) }
 
 // Cache is a set-associative MOSI cache. The zero value is unusable; use
 // New.
 type Cache struct {
 	cfg    Config
-	sets   [][]line
+	lines  []line // set-major: set s is lines[s*Ways : (s+1)*Ways]
 	mask   uint64
 	clock  uint64
 	misses uint64
@@ -113,27 +128,35 @@ func New(cfg Config) *Cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", n))
 	}
-	sets := make([][]line, n)
-	backing := make([]line, n*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(n - 1)}
+	return &Cache{cfg: cfg, lines: make([]line, n*cfg.Ways), mask: uint64(n - 1)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) set(a trace.Addr) []line { return c.sets[uint64(a)&c.mask] }
+// set returns the ways of the set block a maps to.
+func (c *Cache) set(a trace.Addr) []line {
+	w := c.cfg.Ways
+	i := int(uint64(a)&c.mask) * w
+	return c.lines[i : i+w : i+w]
+}
+
+// find returns block a's line, or nil if a is not resident.
+func (c *Cache) find(a trace.Addr) *line {
+	set := c.set(a)
+	for i := range set {
+		if l := &set[i]; l.state() != Invalid && l.addr == a {
+			return l
+		}
+	}
+	return nil
+}
 
 // Lookup returns the block's state without touching LRU. Invalid means not
 // present.
 func (c *Cache) Lookup(a trace.Addr) State {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
-		if l.state != Invalid && l.addr == a {
-			return l.state
-		}
+	if l := c.find(a); l != nil {
+		return l.state()
 	}
 	return Invalid
 }
@@ -142,13 +165,10 @@ func (c *Cache) Lookup(a trace.Addr) State {
 // present (counting a hit or miss).
 func (c *Cache) Touch(a trace.Addr) bool {
 	c.clock++
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
-		if l.state != Invalid && l.addr == a {
-			l.lru = c.clock
-			c.hits++
-			return true
-		}
+	if l := c.find(a); l != nil {
+		l.use(c.clock, l.state())
+		c.hits++
+		return true
 	}
 	c.misses++
 	return false
@@ -157,28 +177,18 @@ func (c *Cache) Touch(a trace.Addr) bool {
 // SetState changes the state of a resident block. It panics if the block
 // is not resident — state changes on absent blocks indicate a protocol bug.
 func (c *Cache) SetState(a trace.Addr, s State) {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
-		if l.state != Invalid && l.addr == a {
-			if s == Invalid {
-				l.state = Invalid
-				return
-			}
-			l.state = s
-			return
-		}
+	l := c.find(a)
+	if l == nil {
+		panic(fmt.Sprintf("cache: SetState(%#x) on non-resident block", uint64(a)))
 	}
-	panic(fmt.Sprintf("cache: SetState(%#x) on non-resident block", uint64(a)))
+	l.setState(s)
 }
 
 // Invalidate removes a block if present and reports whether it was present.
 func (c *Cache) Invalidate(a trace.Addr) bool {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
-		if l.state != Invalid && l.addr == a {
-			l.state = Invalid
-			return true
-		}
+	if l := c.find(a); l != nil {
+		l.setState(Invalid)
+		return true
 	}
 	return false
 }
@@ -192,26 +202,24 @@ func (c *Cache) Insert(a trace.Addr, s State) (ev Eviction, ok bool) {
 	var victim *line
 	for i := range set {
 		l := &set[i]
-		if l.state != Invalid && l.addr == a {
-			l.state = s
-			l.lru = c.clock
+		if l.state() != Invalid && l.addr == a {
+			l.use(c.clock, s)
 			return Eviction{}, false
 		}
-		if l.state == Invalid {
-			if victim == nil || victim.state != Invalid {
+		if l.state() == Invalid {
+			if victim == nil || victim.state() != Invalid {
 				victim = l
 			}
-		} else if victim == nil || (victim.state != Invalid && l.lru < victim.lru) {
+		} else if victim == nil || (victim.state() != Invalid && l.stamp() < victim.stamp()) {
 			victim = l
 		}
 	}
-	if victim.state != Invalid {
-		ev = Eviction{Addr: victim.addr, State: victim.state}
+	if victim.state() != Invalid {
+		ev = Eviction{Addr: victim.addr, State: victim.state()}
 		ok = true
 	}
 	victim.addr = a
-	victim.state = s
-	victim.lru = c.clock
+	victim.use(c.clock, s)
 	return ev, ok
 }
 
@@ -222,11 +230,9 @@ func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 // reporting).
 func (c *Cache) Resident() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != Invalid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].state() != Invalid {
+			n++
 		}
 	}
 	return n

@@ -13,6 +13,11 @@
 // multicast snooping protocols — only message routing differs — so a single
 // System annotates a trace once and all protocol/predictor evaluations
 // reuse the annotation (the paper's trace-driven methodology, §4).
+//
+// Memory follows what a run touches: the per-block directory state lives
+// in 512-block pages allocated on first touch, so a System costs its
+// caches plus the pages its accesses reached, and any 64-bit block
+// address is accepted.
 package coherence
 
 import (
@@ -62,7 +67,7 @@ func DefaultConfig() Config {
 
 // blockState is the directory's view of one 64-byte block. The zero value
 // means: owned by memory, no sharers, never touched — so the block table
-// can grow lazily with zeroed storage.
+// can allocate its pages zeroed.
 type blockState struct {
 	sharers nodeset.Set    // nodes holding the block in Shared state
 	touched nodeset.Set    // nodes that ever accessed the block (stats)
@@ -157,12 +162,13 @@ func (mi MissInfo) Responder(req nodeset.NodeID) (node nodeset.NodeID, fromMemor
 	}
 }
 
-// System is the global coherence oracle.
+// System is the global coherence oracle. Its memory is the per-node
+// caches plus one page of block state per 512-block page the run
+// touched; block addresses may lie anywhere in the 64-bit space.
 type System struct {
 	cfg    Config
 	caches []*cache.Cache
-	blocks []blockState
-	maxA   trace.Addr
+	blocks blockTable
 
 	// OnWriteback, if set, is called whenever a node evicts an Owned or
 	// Modified block (a writeback of the data to the home memory). The
@@ -200,23 +206,16 @@ func (s *System) Home(a trace.Addr) nodeset.NodeID {
 	return nodeset.NodeID(uint64(a) % uint64(s.cfg.Nodes))
 }
 
-func (s *System) block(a trace.Addr) *blockState {
-	if int(a) >= len(s.blocks) {
-		grown := make([]blockState, int(a)+1+len(s.blocks)/2)
-		copy(grown, s.blocks)
-		s.blocks = grown
-	}
-	if a > s.maxA {
-		s.maxA = a
-	}
-	return &s.blocks[a]
-}
+// Reserve allocates the table storage of block a without changing its
+// coherence state, so that later accesses to a do not allocate. The
+// timing simulator reserves its timed blocks before the event loop.
+func (s *System) Reserve(a trace.Addr) { s.blocks.get(a) }
 
 // Access performs a processor load or store. If the access hits in the
 // node's L2 it returns miss=false and the access is complete. Otherwise it
 // applies the full coherence transaction and returns the miss information.
 func (s *System) Access(p nodeset.NodeID, a trace.Addr, k AccessKind) (mi MissInfo, miss bool) {
-	b := s.block(a)
+	b := s.blocks.get(a)
 	if s.cfg.TrackBlockStats {
 		b.touched = b.touched.Add(p)
 	}
@@ -236,7 +235,7 @@ func (s *System) Access(p nodeset.NodeID, a trace.Addr, k AccessKind) (mi MissIn
 	if k == Store {
 		kind = trace.GetExclusive
 	}
-	return s.apply(p, a, kind), true
+	return s.apply(p, a, b, kind), true
 }
 
 // Peek returns the MissInfo a record would observe right now, without
@@ -245,7 +244,7 @@ func (s *System) Access(p nodeset.NodeID, a trace.Addr, k AccessKind) (mi MissIn
 // is sufficient before committing the transaction, and at the home
 // directory to compute the improved destination set of a reissue.
 func (s *System) Peek(r trace.Record) MissInfo {
-	b := s.block(r.Addr)
+	b := s.blocks.at(r.Addr)
 	return MissInfo{
 		Home:           s.Home(r.Addr),
 		Owner:          b.ownerID(),
@@ -259,15 +258,15 @@ func (s *System) Peek(r trace.Record) MissInfo {
 // a System with the same configuration that generated it reproduces the
 // exact annotation.
 func (s *System) Apply(r trace.Record) MissInfo {
-	b := s.block(r.Addr)
+	b := s.blocks.get(r.Addr)
 	if s.cfg.TrackBlockStats {
 		b.touched = b.touched.Add(nodeset.NodeID(r.Requester))
 	}
-	return s.apply(nodeset.NodeID(r.Requester), r.Addr, r.Kind)
+	return s.apply(nodeset.NodeID(r.Requester), r.Addr, b, r.Kind)
 }
 
-func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo {
-	b := s.block(a)
+// apply runs the miss transaction of p on block a, whose state is b.
+func (s *System) apply(p nodeset.NodeID, a trace.Addr, b *blockState, kind trace.Kind) MissInfo {
 	mi := MissInfo{
 		Home:           s.Home(a),
 		Owner:          b.ownerID(),
@@ -296,13 +295,11 @@ func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo
 		if s.cfg.Exclusive && !b.ownerC && b.sharers.Empty() {
 			// MOESI: sole reader of a memory-owned block takes E.
 			s.insert(p, a, cache.Exclusive)
-			b = s.block(a) // insert may have grown the table
 			b.owner = p
 			b.ownerC = true
 			break
 		}
 		s.insert(p, a, cache.Shared)
-		b = s.block(a) // insert may have grown the table
 		b.sharers = b.sharers.Add(p)
 	case trace.GetExclusive:
 		// Invalidate every other copy; the requester becomes sole owner.
@@ -315,7 +312,6 @@ func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo
 			s.caches[b.owner].Invalidate(a)
 		}
 		s.insert(p, a, cache.Modified)
-		b = s.block(a)
 		b.sharers = 0
 		b.owner = p
 		b.ownerC = true
@@ -333,7 +329,7 @@ func (s *System) insert(p nodeset.NodeID, a trace.Addr, st cache.State) {
 	if !evicted {
 		return
 	}
-	vb := s.block(ev.Addr)
+	vb := s.blocks.get(ev.Addr)
 	switch ev.State {
 	case cache.Modified, cache.Owned, cache.Exclusive:
 		if !vb.ownerC || vb.owner != p {
@@ -354,18 +350,13 @@ func (s *System) insert(p nodeset.NodeID, a trace.Addr, st cache.State) {
 
 // OwnerOf returns the current owner of a block (MemoryOwner if memory).
 func (s *System) OwnerOf(a trace.Addr) nodeset.NodeID {
-	if int(a) >= len(s.blocks) {
-		return MemoryOwner
-	}
-	return s.blocks[a].ownerID()
+	b := s.blocks.at(a)
+	return b.ownerID()
 }
 
 // SharersOf returns the current Shared-state holders of a block.
 func (s *System) SharersOf(a trace.Addr) nodeset.Set {
-	if int(a) >= len(s.blocks) {
-		return 0
-	}
-	return s.blocks[a].sharers
+	return s.blocks.at(a).sharers
 }
 
 // CacheOf exposes a node's L2 for inspection in tests and the timing model.
@@ -381,21 +372,19 @@ type BlockStat struct {
 // ForEachTouchedBlock visits every block that was ever accessed, in
 // address order. Requires TrackBlockStats.
 func (s *System) ForEachTouchedBlock(fn func(BlockStat)) {
-	for a := trace.Addr(0); a <= s.maxA && int(a) < len(s.blocks); a++ {
-		b := &s.blocks[a]
-		if b.touched.Empty() {
-			continue
+	s.blocks.forEach(func(a trace.Addr, b *blockState) error {
+		if !b.touched.Empty() {
+			fn(BlockStat{Addr: a, Touched: b.touched, Misses: b.misses})
 		}
-		fn(BlockStat{Addr: a, Touched: b.touched, Misses: b.misses})
-	}
+		return nil
+	})
 }
 
 // CheckInvariants validates the mutual consistency of directory state and
 // cache contents for all touched blocks; tests call it after random
 // workloads. It returns the first violation found, or nil.
 func (s *System) CheckInvariants() error {
-	for a := trace.Addr(0); a <= s.maxA && int(a) < len(s.blocks); a++ {
-		b := &s.blocks[a]
+	return s.blocks.forEach(func(a trace.Addr, b *blockState) error {
 		if b.ownerC {
 			st := s.caches[b.owner].Lookup(a)
 			if !st.IsOwner() {
@@ -411,9 +400,6 @@ func (s *System) CheckInvariants() error {
 				bad = fmt.Errorf("block %#x: directory sharer %d holds state %v", uint64(a), n, st)
 			}
 		})
-		if bad != nil {
-			return bad
-		}
-	}
-	return nil
+		return bad
+	})
 }

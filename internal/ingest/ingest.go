@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -86,6 +87,12 @@ func (e *ParseError) Error() string { return fmt.Sprintf("line %d: %s", e.Line, 
 func parseErrf(line int, format string, args ...any) error {
 	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
+
+// errNoRecords rejects an input without a single record line.
+var errNoRecords = errors.New("ingest: no records in input")
+
+// maxLineBytes bounds one input line.
+const maxLineBytes = 1 << 20
 
 // access is one parsed input line before annotation.
 type access struct {
@@ -213,7 +220,7 @@ func Import(r io.Reader, f Format, opt Options) (*dataset.Dataset, error) {
 	}
 	h := sha256.New()
 	sc := bufio.NewScanner(io.TeeReader(r, h))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 
 	var accs []access
 	maxCPU := 0
@@ -234,10 +241,13 @@ func Import(r io.Reader, f Format, opt Options) (*dataset.Dataset, error) {
 		accs = append(accs, a)
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, parseErrf(lineNo+1, "line longer than %d bytes", maxLineBytes)
+		}
 		return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 	}
 	if len(accs) == 0 {
-		return nil, fmt.Errorf("ingest: no records in input")
+		return nil, errNoRecords
 	}
 
 	nodes := opt.Nodes

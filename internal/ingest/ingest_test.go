@@ -10,6 +10,7 @@ import (
 
 	"destset/internal/coherence"
 	"destset/internal/dataset"
+	"destset/internal/nodeset"
 	"destset/internal/trace"
 	"destset/internal/workload"
 )
@@ -84,15 +85,7 @@ func TestImportFieldMapping(t *testing.T) {
 
 func TestImportAnnotationsMatchOracleReplay(t *testing.T) {
 	ds := importString(t, sampleCSV, FormatCSV, Options{})
-	cfg := coherence.DefaultConfig()
-	cfg.Nodes = ds.Params().Nodes
-	sys := coherence.NewSystem(cfg)
-	for i := 0; i < ds.Len(); i++ {
-		rec, mi := ds.At(i)
-		if got := sys.Apply(rec); got != mi {
-			t.Fatalf("record %d: stored annotation %+v, fresh replay %+v", i, mi, got)
-		}
-	}
+	checkOracle(t, ds)
 	// The second write to 0x1000 must see node 1 as a sharer.
 	_, mi := ds.At(3)
 	if !mi.Sharers.Contains(1) {
@@ -103,10 +96,12 @@ func TestImportAnnotationsMatchOracleReplay(t *testing.T) {
 	}
 }
 
+// dialectsCSV lacks pc and gap and uses decimal addresses and
+// alternative op tokens.
+const dialectsCSV = "4096,1,read\n8256,0,STORE\n4096,1,ld\n"
+
 func TestImportDefaultsAndDialects(t *testing.T) {
-	// Missing pc and gap; decimal addresses; alternative op tokens.
-	in := "4096,1,read\n8256,0,STORE\n4096,1,ld\n"
-	ds := importString(t, in, FormatCSV, Options{DefaultGap: 77})
+	ds := importString(t, dialectsCSV, FormatCSV, Options{DefaultGap: 77})
 	if ds.Len() != 3 {
 		t.Fatalf("len = %d", ds.Len())
 	}
@@ -125,25 +120,28 @@ func TestImportDefaultsAndDialects(t *testing.T) {
 	}
 }
 
+// importErrorCases are malformed inputs, each with the error it must
+// produce; they also seed the fuzz targets.
+var importErrorCases = []struct {
+	name, in string
+	f        Format
+	opt      Options
+	wantLine int
+	wantMsg  string
+}{
+	{"truncated csv row", "0x40,0,R\n0x80,1\n", FormatCSV, Options{}, 2, "got 2 fields"},
+	{"bad address", "0x40,0,R\nzz!,1,W\n", FormatCSV, Options{}, 2, "bad address"},
+	{"bad op", "0x40 Q 0\n", FormatText, Options{}, 1, "bad op"},
+	{"bad cpu", "0x40 R -1\n", FormatText, Options{}, 1, "bad cpu"},
+	{"zero gap", "0x40,0,R,0x1,0\n", FormatCSV, Options{}, 1, "bad gap"},
+	{"too many fields", "0x40 R 0 0x1 5 9\n", FormatText, Options{}, 1, "too many fields"},
+	{"empty", "# only a comment\n", FormatCSV, Options{}, 0, "no records"},
+	{"warm eats all", "0x40,0,R\n", FormatCSV, Options{Warm: 1}, 0, "no measured region"},
+	{"nodes too small", "0x40,5,R\n", FormatCSV, Options{Nodes: 4}, 0, "cpu 5"},
+}
+
 func TestImportErrors(t *testing.T) {
-	cases := []struct {
-		name, in string
-		f        Format
-		opt      Options
-		wantLine int
-		wantMsg  string
-	}{
-		{"truncated csv row", "0x40,0,R\n0x80,1\n", FormatCSV, Options{}, 2, "got 2 fields"},
-		{"bad address", "0x40,0,R\nzz!,1,W\n", FormatCSV, Options{}, 2, "bad address"},
-		{"bad op", "0x40 Q 0\n", FormatText, Options{}, 1, "bad op"},
-		{"bad cpu", "0x40 R -1\n", FormatText, Options{}, 1, "bad cpu"},
-		{"zero gap", "0x40,0,R,0x1,0\n", FormatCSV, Options{}, 1, "bad gap"},
-		{"too many fields", "0x40 R 0 0x1 5 9\n", FormatText, Options{}, 1, "too many fields"},
-		{"empty", "# only a comment\n", FormatCSV, Options{}, 0, "no records"},
-		{"warm eats all", "0x40,0,R\n", FormatCSV, Options{Warm: 1}, 0, "no measured region"},
-		{"nodes too small", "0x40,5,R\n", FormatCSV, Options{Nodes: 4}, 0, "cpu 5"},
-	}
-	for _, tc := range cases {
+	for _, tc := range importErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Import(strings.NewReader(tc.in), tc.f, tc.opt)
 			if err == nil {
@@ -162,6 +160,47 @@ func TestImportErrors(t *testing.T) {
 	}
 }
 
+// checkRoundTrip exports ds, imports the export again and checks that
+// every record and annotation survives and that a second export is
+// byte-identical to the first.
+func checkRoundTrip(t *testing.T, ds *dataset.Dataset, f Format) {
+	t.Helper()
+	var first bytes.Buffer
+	if err := Export(&first, ds, f); err != nil {
+		t.Fatal(err)
+	}
+	ds2, err := Import(bytes.NewReader(first.Bytes()), f, Options{Warm: ds.Warm(), Nodes: ds.Params().Nodes})
+	if err != nil {
+		t.Fatalf("re-importing the export: %v", err)
+	}
+	if ds2.Len() != ds.Len() {
+		t.Fatalf("export/import changed the length: %d vs %d", ds.Len(), ds2.Len())
+	}
+	for i := 0; i < ds.Len(); i++ {
+		ra, ia := ds.At(i)
+		rb, ib := ds2.At(i)
+		if ra != rb || ia != ib {
+			t.Fatalf("record %d changed across export/import: %+v vs %+v", i, ra, rb)
+		}
+	}
+	var second bytes.Buffer
+	if err := Export(&second, ds2, f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("export -> import -> export is not byte-identical")
+	}
+}
+
+func TestImportLineTooLong(t *testing.T) {
+	in := "0x40 R 0\n" + strings.Repeat("0", maxLineBytes+1) + "\n"
+	_, err := Import(strings.NewReader(in), FormatText, Options{})
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 2 {
+		t.Fatalf("error %v: want a ParseError at line 2", err)
+	}
+}
+
 func TestExportImportExportIdentity(t *testing.T) {
 	for _, f := range []Format{FormatCSV, FormatText} {
 		t.Run(string(f), func(t *testing.T) {
@@ -169,31 +208,117 @@ func TestExportImportExportIdentity(t *testing.T) {
 			if f == FormatText {
 				src = sampleText
 			}
-			ds := importString(t, src, f, Options{Warm: 2})
-			var first bytes.Buffer
-			if err := Export(&first, ds, f); err != nil {
-				t.Fatal(err)
-			}
-			ds2, err := Import(bytes.NewReader(first.Bytes()), f, Options{Warm: 2, Nodes: ds.Params().Nodes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < ds.Len(); i++ {
-				ra, ia := ds.At(i)
-				rb, ib := ds2.At(i)
-				if ra != rb || ia != ib {
-					t.Fatalf("record %d changed across export/import: %+v vs %+v", i, ra, rb)
-				}
-			}
-			var second bytes.Buffer
-			if err := Export(&second, ds2, f); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Error("export -> import -> export is not byte-identical")
-			}
+			checkRoundTrip(t, importString(t, src, f, Options{Warm: 2}), f)
 		})
 	}
+}
+
+// Addresses anywhere in the 64-bit space import: a user-stack address and
+// the last block of the address space once made the oracle's dense block
+// table ask for terabytes.
+const (
+	highAddrCSV = "addr,cpu,op,pc,gap\n" +
+		"0x7ffd4a3c1f40,0,W,0x400100,150\n" +
+		"0xffffffffffffffc0,1,R,0x400200,220\n" +
+		"0x7ffd4a3c1f40,1,R,0x400200,220\n" +
+		"0x40,2,W,0x400300,180\n" +
+		"0xffffffffffffffc0,0,W,0x400100,150\n"
+	highAddrText = "0x7ffd4a3c1f40 W 0 0x400100 150\n" +
+		"0xffffffffffffffc0 R 1 0x400200 220\n" +
+		"0x7ffd4a3c1f40 R 1 0x400200 220\n" +
+		"0x40 W 2 0x400300 180\n" +
+		"0xffffffffffffffc0 W 0 0x400100 150\n"
+)
+
+func TestImportHighAddresses(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		f  Format
+	}{{highAddrCSV, FormatCSV}, {highAddrText, FormatText}} {
+		t.Run(string(tc.f), func(t *testing.T) {
+			ds := importString(t, tc.in, tc.f, Options{Warm: 1})
+			if got, want := ds.RecordAt(1).Addr, trace.Addr(0xffffffffffffffc0/trace.BlockBytes); got != want {
+				t.Errorf("record 1 addr = %#x, want %#x", uint64(got), uint64(want))
+			}
+			// Node 1 reads the block node 0 wrote: a cache-to-cache miss.
+			if _, mi := ds.At(2); mi.Owner != 0 {
+				t.Errorf("record 2 owner = %d, want node 0", mi.Owner)
+			}
+			checkOracle(t, ds)
+			checkRoundTrip(t, ds, tc.f)
+		})
+	}
+}
+
+// checkOracle replays ds through a fresh oracle of its configuration and
+// checks every stored annotation and, at the end, the directory/cache
+// invariants. The invariants are skipped when the trace has a block's
+// owner read it: Apply treats every record as a miss and turns such a
+// read into a downgrade of the owner's copy to Shared while the
+// directory keeps the owner, so the invariants cannot hold after one.
+func checkOracle(t *testing.T, ds *dataset.Dataset) {
+	t.Helper()
+	cfg := coherence.DefaultConfig()
+	cfg.Nodes = ds.Params().Nodes
+	sys := coherence.NewSystem(cfg)
+	ownerRead := false
+	for i := 0; i < ds.Len(); i++ {
+		rec, mi := ds.At(i)
+		if rec.Kind == trace.GetShared && sys.OwnerOf(rec.Addr) == nodeset.NodeID(rec.Requester) {
+			ownerRead = true
+		}
+		if got := sys.Apply(rec); got != mi {
+			t.Fatalf("record %d: stored annotation %+v, fresh replay %+v", i, mi, got)
+		}
+	}
+	if ownerRead {
+		return
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fuzzImport checks one fuzz input: Import either rejects it with a
+// ParseError (or as empty), or yields a dataset whose annotations replay,
+// whose oracle state is consistent and which round-trips through Export.
+func fuzzImport(t *testing.T, in []byte, f Format) {
+	ds, err := Import(bytes.NewReader(in), f, Options{})
+	if err != nil {
+		var pe *ParseError
+		if !errors.As(err, &pe) && !errors.Is(err, errNoRecords) {
+			t.Fatalf("rejected with %T %q, want a ParseError", err, err)
+		}
+		return
+	}
+	checkOracle(t, ds)
+	checkRoundTrip(t, ds, f)
+}
+
+// fuzzSeeds adds every fixture of format f to the corpus.
+func fuzzSeeds(fz *testing.F, f Format) {
+	seeds := map[Format][]string{
+		FormatCSV:  {sampleCSV, dialectsCSV, highAddrCSV},
+		FormatText: {sampleText, highAddrText},
+	}[f]
+	for _, tc := range importErrorCases {
+		if tc.f == f {
+			seeds = append(seeds, tc.in)
+		}
+	}
+	for _, s := range seeds {
+		fz.Add([]byte(s))
+	}
+}
+
+func FuzzImportCSV(f *testing.F) {
+	fuzzSeeds(f, FormatCSV)
+	f.Fuzz(func(t *testing.T, in []byte) { fuzzImport(t, in, FormatCSV) })
+}
+
+func FuzzImportText(f *testing.F) {
+	fuzzSeeds(f, FormatText)
+	f.Fuzz(func(t *testing.T, in []byte) { fuzzImport(t, in, FormatText) })
 }
 
 func TestImportIdentityIsContentAddressed(t *testing.T) {

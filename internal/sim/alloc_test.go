@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"destset/internal/coherence"
+	"destset/internal/trace"
 	"destset/internal/workload"
 )
 
@@ -72,5 +75,55 @@ func TestSimLoopAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSimulateMemoryFollowsTouchedBlocks pins the timing model's memory
+// to what a run touches: a 16-node run whose blocks spread over 2^40
+// block addresses must allocate no more than its L2s (16-byte lines)
+// plus a few MB (the multicast predictor bank takes most of them), so
+// no structure sized by the highest address can come back unnoticed.
+func TestSimulateMemoryFollowsTouchedBlocks(t *testing.T) {
+	const nodes, regions, span = 16, 32, 256
+	rng := rand.New(rand.NewSource(1))
+	var bases [regions]trace.Addr
+	for i := range bases {
+		bases[i] = trace.Addr(rng.Int63n(1<<40 - span))
+	}
+	bases[0] = 1<<40 - span // reach the top of the span
+	gen := func(n int) *trace.Trace {
+		tr := &trace.Trace{Nodes: nodes}
+		for i := 0; i < n; i++ {
+			kind := trace.GetShared
+			if rng.Intn(3) == 0 {
+				kind = trace.GetExclusive
+			}
+			tr.Append(trace.Record{
+				Addr:      bases[rng.Intn(regions)] + trace.Addr(rng.Intn(span)),
+				PC:        trace.PC(0x400000 + 4*rng.Intn(64)),
+				Requester: uint8(rng.Intn(nodes)),
+				Kind:      kind,
+				Gap:       100,
+			})
+		}
+		return tr
+	}
+	warm, timed := gen(4000), gen(4000)
+	l2 := coherence.DefaultConfig().L2
+	budget := uint64(nodes*(l2.SizeBytes/l2.BlockBytes)*16 + 10<<20)
+	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
+		t.Run(proto.String(), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(DefaultConfig(proto), warm, timed); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("run allocated %.1f MB, budget %.1f MB", float64(got)/(1<<20), float64(budget)/(1<<20))
+			} else {
+				t.Logf("run allocated %.1f MB of %.1f MB", float64(got)/(1<<20), float64(budget)/(1<<20))
+			}
+		})
 	}
 }

@@ -506,7 +506,9 @@ func (s *sim) warmUp(ctx context.Context, warm Source) error {
 // loadStreams splits the timed source into per-node program-order
 // streams: index lists into the shared source plus a transaction slab
 // with one preloaded slot per record. The source is walked exactly once,
-// cursor-style; the hot loop afterwards reads records from the slab.
+// cursor-style; the hot loop afterwards reads records from the slab. The
+// walk also reserves every timed block in the coherence table, so the
+// event loop never allocates table pages.
 func (s *sim) loadStreams(src Source) {
 	s.nodes = make([]*node, s.cfg.Nodes)
 	for i := range s.nodes {
@@ -525,6 +527,7 @@ func (s *sim) loadStreams(src Source) {
 		t.sidx = int32(len(n.idx))
 		t.rec = rec
 		n.idx = append(n.idx, int32(i))
+		s.coh.Reserve(rec.Addr)
 	}
 	for _, n := range s.nodes {
 		n.pos = make([]uint64, len(n.idx))
